@@ -685,9 +685,9 @@ fn run_check(cmd: CheckCmd) -> Result<(), String> {
         }
         CheckMode::Clean => {
             let report = run_one_check(cmd.cpr, cmd.max_states);
+            // The report's rendering already ends in any counterexample.
             println!("check {machine}: {report}");
-            if let Some(cx) = &report.violation {
-                println!("\n{}", cx.transcript);
+            if report.violation.is_some() {
                 return Err("invariant violation found".to_string());
             }
             if !report.complete {
@@ -704,9 +704,8 @@ fn run_check(cmd: CheckCmd) -> Result<(), String> {
             let report = run_one_check(cmd.cpr, cmd.max_states);
             msp_check::disarm_mutation();
             match &report.violation {
-                Some(cx) => {
+                Some(_) => {
                     println!("check {machine}: mutation '{name}' KILLED — {report}");
-                    println!("\n{}", cx.transcript);
                     Ok(())
                 }
                 None => Err(format!(

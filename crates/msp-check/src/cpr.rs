@@ -12,9 +12,11 @@
 //! interpreter, and committed memory.
 
 use crate::explore::Model;
-use crate::machine::{initial_value, mix, MspEvent, Op};
+use crate::fingerprint::WordHasher;
+use crate::machine::{initial_value, mix, MspEvent, Op, MAX_SET};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Geometry of the CPR machine.
 #[derive(Debug, Clone)]
@@ -68,7 +70,8 @@ struct Checkpoint {
 /// The CPR machine: counted pool, checkpoint stack, in-order region commit.
 #[derive(Clone)]
 pub struct CprMachine {
-    config: CprConfig,
+    /// Geometry and program, shared by every explored state.
+    config: Arc<CprConfig>,
     free: usize,
     next_phys: u64,
     /// Every currently allocated physical register id.
@@ -84,16 +87,27 @@ pub struct CprMachine {
     /// Instructions `[0, committed_upto)` have committed in order.
     committed_upto: usize,
     committed_mem: BTreeMap<u64, u64>,
-    mispredicted: BTreeSet<usize>,
+    /// One bit per program counter whose branch has already taken its one
+    /// mispredict.
+    mispredicted: u64,
 }
 
 impl CprMachine {
     /// Builds the initial state: identity mappings live, the rest of the
     /// pool free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool does not exceed the architectural mappings, or if
+    /// the program is longer than the checker's 64-instruction bound.
     pub fn new(config: CprConfig) -> Self {
         assert!(
             config.total_regs > config.arch_regs,
             "the pool must exceed the architectural mappings"
+        );
+        assert!(
+            config.program.len() <= MAX_SET,
+            "the checker tracks at most {MAX_SET} instructions"
         );
         let arch = config.arch_regs;
         CprMachine {
@@ -108,8 +122,8 @@ impl CprMachine {
             next_seq: 0,
             committed_upto: 0,
             committed_mem: BTreeMap::new(),
-            config,
-            mispredicted: BTreeSet::new(),
+            config: Arc::new(config),
+            mispredicted: 0,
         }
     }
 
@@ -161,8 +175,7 @@ impl CprMachine {
         let op = self.config.program[pc];
         let (dest, prev, value) = match op {
             Op::Alu { dest, srcs } => {
-                let inputs: Vec<u64> = srcs.iter().flatten().map(|&s| self.regs[s]).collect();
-                let value = mix(pc, &inputs);
+                let value = mix(pc, srcs.iter().flatten().map(|&s| self.regs[s]));
                 let phys = self.next_phys;
                 self.next_phys += 1;
                 self.live.insert(phys);
@@ -179,7 +192,7 @@ impl CprMachine {
             Op::Branch { src } => {
                 // Unresolved branches checkpoint; a branch that already took
                 // its one misprediction re-dispatches resolved (confident).
-                if !self.mispredicted.contains(&pc) {
+                if self.mispredicted >> pc & 1 == 0 {
                     self.ckpts.push(Checkpoint {
                         pc,
                         branch_seq: self.next_seq,
@@ -225,7 +238,7 @@ impl CprMachine {
             .position(|c| c.branch_seq == seq)
             .ok_or(format!("mispredict of seq {seq} without a checkpoint"))?;
         let ckpt = self.ckpts[k].clone();
-        self.mispredicted.insert(ckpt.pc);
+        self.mispredicted |= 1 << ckpt.pc;
 
         // The imprecise CPR rollback: every register allocated past the
         // checkpoint — across *all* younger regions — returns to the pool.
@@ -265,8 +278,7 @@ impl CprMachine {
         for flight in &self.insts {
             let value = match self.config.program[flight.pc] {
                 Op::Alu { dest, srcs } => {
-                    let inputs: Vec<u64> = srcs.iter().flatten().map(|&s| regs[s]).collect();
-                    let v = mix(flight.pc, &inputs);
+                    let v = mix(flight.pc, srcs.iter().flatten().map(|&s| regs[s]));
                     regs[dest] = v;
                     v
                 }
@@ -367,7 +379,7 @@ impl Model for CprMachine {
                 Op::Alu { .. } => self.free > 0,
                 Op::Store { .. } => true,
                 Op::Branch { .. } => {
-                    self.mispredicted.contains(&self.next_pc)
+                    self.mispredicted >> self.next_pc & 1 == 1
                         || self.ckpts.len() < self.config.max_ckpts
                 }
             };
@@ -405,7 +417,7 @@ impl Model for CprMachine {
     }
 
     fn fingerprint(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut hasher = WordHasher::default();
         self.free.hash(&mut hasher);
         self.next_phys.hash(&mut hasher);
         self.live.hash(&mut hasher);

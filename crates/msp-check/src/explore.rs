@@ -4,9 +4,16 @@
 //! Breadth-first order matters: when a violation exists, the first one found
 //! is reached by a *shortest* event path, so every counterexample the checker
 //! prints is minimal in the number of events.
+//!
+//! Bookkeeping is kept lean because it runs once per explored transition:
+//! each queued state carries its own fingerprint (so a successor can be
+//! compared against its parent without rehashing it), and its path is one
+//! `(parent, event)` record in an arena, rebuilt into an event list only
+//! when a counterexample is rendered.
 
+use crate::fingerprint::VisitedSet;
 use std::cell::Cell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
@@ -20,7 +27,7 @@ thread_local! {
 /// layer are oracles here) and converts them into counterexamples; without
 /// this, every caught violation would spray a backtrace to stderr. Other
 /// threads keep the default hook.
-pub(crate) fn with_silenced_panics<R>(f: impl FnOnce() -> R) -> R {
+fn with_silenced_panics<R>(f: impl FnOnce() -> R) -> R {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
         let previous = std::panic::take_hook();
@@ -47,14 +54,21 @@ pub trait Model: Clone {
     type Event: Clone + fmt::Display;
 
     /// Every event enabled in the current state, in a deterministic order.
-    /// An empty list marks a terminal (fully quiesced) state.
+    ///
+    /// An event may be a *stutter* in some states: applying it succeeds but
+    /// leaves the fingerprint unchanged (a commit clock with nothing left to
+    /// commit). The explorer drops stutter successors, and a state with no
+    /// enabled event other than stutters is terminal (fully quiesced). An
+    /// event whose application fails is never a stutter: the failure is
+    /// reported.
     fn enabled_events(&self) -> Vec<Self::Event>;
 
     /// Applies one event and runs the per-event invariant oracles.
     fn apply(&mut self, event: &Self::Event) -> Result<(), String>;
 
     /// A collision-resistant fingerprint of the behavioural state (stats and
-    /// other monotone counters excluded) used for visited-state dedup.
+    /// other monotone counters excluded) used for visited-state dedup and
+    /// to recognise stutter events.
     fn fingerprint(&self) -> u64;
 
     /// The quiescence oracle, run in every terminal state.
@@ -67,7 +81,8 @@ pub trait Model: Clone {
 /// Exploration budget and reporting knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreLimits {
-    /// Stop (incomplete) after visiting this many distinct states.
+    /// Stop (incomplete) when a further distinct state would exceed this
+    /// many; a budget equal to the reachable space's size still completes.
     pub max_states: u64,
 }
 
@@ -205,65 +220,115 @@ fn render_counterexample<M: Model>(
     }
 }
 
+/// A queued state awaiting expansion.
+struct Pending<M> {
+    state: M,
+    /// The state's fingerprint, computed once when it was first reached.
+    fingerprint: u64,
+    /// Its record in the path arena.
+    node: usize,
+    /// Number of events from the initial state.
+    depth: usize,
+}
+
+/// The arena index standing for the initial state, which has no record.
+const ROOT: usize = usize::MAX;
+
+/// Rebuilds the event path that reached arena record `node`.
+fn path_to<E: Clone>(arena: &[(usize, E)], mut node: usize) -> Vec<E> {
+    let mut path = Vec::new();
+    while node != ROOT {
+        let (parent, event) = &arena[node];
+        path.push(event.clone());
+        node = *parent;
+    }
+    path.reverse();
+    path
+}
+
 /// Exhaustively explores every state reachable from `initial`, stopping at
 /// the first violation (which, by breadth-first order, has a shortest event
 /// path) or when the state budget is exhausted.
 pub fn explore<M: Model>(initial: M, limits: ExploreLimits) -> CheckReport {
-    let mut visited: HashSet<u64> = HashSet::new();
-    let mut queue: VecDeque<(M, Vec<M::Event>)> = VecDeque::new();
-    visited.insert(initial.fingerprint());
-    queue.push_back((initial.clone(), Vec::new()));
+    let initial_fingerprint = initial.fingerprint();
+    let mut visited = VisitedSet::default();
+    visited.insert(initial_fingerprint);
+    // Path arena: one `(parent record, event)` per queued state.
+    let mut arena: Vec<(usize, M::Event)> = Vec::new();
+    let mut queue = VecDeque::from([Pending {
+        state: initial.clone(),
+        fingerprint: initial_fingerprint,
+        node: ROOT,
+        depth: 0,
+    }]);
 
     let mut terminal_states = 0u64;
     let mut max_depth = 0usize;
+    let incomplete = |visited: &VisitedSet, terminal_states, max_depth, violation| CheckReport {
+        visited: visited.len() as u64,
+        terminal_states,
+        max_depth,
+        complete: false,
+        violation,
+    };
 
-    while let Some((state, path)) = queue.pop_front() {
-        max_depth = max_depth.max(path.len());
+    while let Some(Pending {
+        state,
+        fingerprint,
+        node,
+        depth,
+    }) = queue.pop_front()
+    {
+        max_depth = max_depth.max(depth);
         let events = state.enabled_events();
-        if events.is_empty() {
-            terminal_states += 1;
-            if let Err(message) = check_terminal_checked(&state) {
-                return CheckReport {
-                    visited: visited.len() as u64,
-                    terminal_states,
-                    max_depth,
-                    complete: false,
-                    violation: Some(render_counterexample(&initial, &path, &message, true)),
-                };
+        // The last event takes the state itself instead of a clone, but only
+        // once an earlier event has left the state: a state that turns out
+        // terminal is still needed for its check.
+        let mut state = Some(state);
+        let mut leaves = false;
+        for (i, event) in events.iter().enumerate() {
+            let mut next = if leaves && i + 1 == events.len() {
+                state.take()
+            } else {
+                state.clone()
             }
-            continue;
+            .expect("kept until the last event");
+            if let Err(message) = apply_checked(&mut next, event) {
+                let mut path = path_to(&arena, node);
+                path.push(event.clone());
+                let cx = render_counterexample(&initial, &path, &message, false);
+                return incomplete(
+                    &visited,
+                    terminal_states,
+                    max_depth.max(depth + 1),
+                    Some(cx),
+                );
+            }
+            let next_fingerprint = next.fingerprint();
+            if next_fingerprint == fingerprint {
+                continue; // a stutter: the event did not leave the state
+            }
+            leaves = true;
+            if visited.len() as u64 >= limits.max_states && !visited.contains(&next_fingerprint) {
+                return incomplete(&visited, terminal_states, max_depth, None);
+            }
+            if visited.insert(next_fingerprint) {
+                arena.push((node, event.clone()));
+                queue.push_back(Pending {
+                    state: next,
+                    fingerprint: next_fingerprint,
+                    node: arena.len() - 1,
+                    depth: depth + 1,
+                });
+            }
         }
-        for event in events {
-            let mut next = state.clone();
-            if let Err(message) = apply_checked(&mut next, &event) {
-                let mut failing_path = path.clone();
-                failing_path.push(event);
-                return CheckReport {
-                    visited: visited.len() as u64,
-                    terminal_states,
-                    max_depth: max_depth.max(failing_path.len()),
-                    complete: false,
-                    violation: Some(render_counterexample(
-                        &initial,
-                        &failing_path,
-                        &message,
-                        false,
-                    )),
-                };
-            }
-            if visited.len() as u64 >= limits.max_states {
-                return CheckReport {
-                    visited: visited.len() as u64,
-                    terminal_states,
-                    max_depth,
-                    complete: false,
-                    violation: None,
-                };
-            }
-            if visited.insert(next.fingerprint()) {
-                let mut next_path = path.clone();
-                next_path.push(event);
-                queue.push_back((next, next_path));
+        if !leaves {
+            terminal_states += 1;
+            let state = state.expect("a terminal state is never moved out");
+            if let Err(message) = check_terminal_checked(&state) {
+                let path = path_to(&arena, node);
+                let cx = render_counterexample(&initial, &path, &message, true);
+                return incomplete(&visited, terminal_states, max_depth, Some(cx));
             }
         }
     }

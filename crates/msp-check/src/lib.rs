@@ -32,6 +32,7 @@
 
 mod cpr;
 mod explore;
+mod fingerprint;
 mod machine;
 
 pub use cpr::{CprConfig, CprMachine};

@@ -10,13 +10,14 @@
 //! them is a defect the explorer can reach.
 
 use crate::explore::Model;
+use crate::fingerprint::WordHasher;
 use msp_isa::ArchReg;
 use msp_mem::{SimpleStoreQueue, StoreQueue, StoreQueueEntry};
 use msp_state::{MspConfig, MspStateManager, PhysReg, RenameRequest, StateId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// One instruction of the checked program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +54,11 @@ impl Op {
         }
     }
 
-    fn sources(&self) -> Vec<usize> {
+    /// The source logical registers, `None`-padded.
+    pub(crate) fn sources(&self) -> [Option<usize>; 2] {
         match self {
-            Op::Alu { srcs, .. } => srcs.iter().flatten().copied().collect(),
-            Op::Store { src, .. } | Op::Branch { src } => vec![*src],
+            Op::Alu { srcs, .. } => *srcs,
+            Op::Store { src, .. } | Op::Branch { src } => [Some(*src), None],
         }
     }
 }
@@ -146,13 +148,33 @@ pub(crate) fn initial_value(bank: usize) -> u64 {
 /// A deterministic value an ALU instruction at `pc` produces from its source
 /// values; also used by the reference interpreter, so a wrong renaming shows
 /// up as a value mismatch.
-pub(crate) fn mix(pc: usize, srcs: &[u64]) -> u64 {
+pub(crate) fn mix(pc: usize, srcs: impl IntoIterator<Item = u64>) -> u64 {
     let mut x = (pc as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5851_f42d_4c95_7f2d;
-    for &s in srcs {
+    for s in srcs {
         x = (x ^ s.rotate_left(23)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x ^= x >> 29;
     }
     x
+}
+
+/// The checker keeps its sets as `u64` bitmasks: IQ slots, physical
+/// registers (`bank * regs_per_bank + slot`) and program counters each
+/// number at most this many. An exhaustively checkable geometry is far
+/// smaller.
+pub(crate) const MAX_SET: usize = 64;
+
+/// The set of the `n` lowest bits (`n <= 64`).
+pub(crate) fn low_bits(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+}
+
+/// The bits of a bitmask set, ascending.
+pub(crate) fn bits(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = set.trailing_zeros() as usize;
+        set &= set.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,13 +187,14 @@ enum Status {
 /// One dispatched (and not squashed) instruction. Committed instructions are
 /// kept — programs are tiny — so the reference interpreter can always replay
 /// the full surviving history.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Flight {
     pc: usize,
     seq: u64,
     state: StateId,
     dest: Option<PhysReg>,
-    srcs: Vec<PhysReg>,
+    /// Source registers in program order, `None`-padded.
+    srcs: [Option<PhysReg>; 2],
     /// The state-anchoring RelIQ row of a non-allocating instruction.
     anchor: Option<PhysReg>,
     iq_slot: Option<usize>,
@@ -219,36 +242,93 @@ impl fmt::Display for MspEvent {
     }
 }
 
+/// Value ledger: the value each *live* physical register holds (or will
+/// hold once produced), indexed by `bank * regs_per_bank + slot`, with one
+/// presence bit per register.
+#[derive(Clone)]
+struct Ledger {
+    regs_per_bank: usize,
+    present: u64,
+    values: Vec<u64>,
+}
+
+impl Ledger {
+    fn new(banks: usize, regs_per_bank: usize) -> Self {
+        Ledger {
+            regs_per_bank,
+            present: 0,
+            values: vec![0; banks * regs_per_bank],
+        }
+    }
+
+    fn index(&self, phys: PhysReg) -> usize {
+        phys.bank() * self.regs_per_bank + phys.slot()
+    }
+
+    fn get(&self, phys: PhysReg) -> Option<u64> {
+        let i = self.index(phys);
+        (self.present >> i & 1 == 1).then(|| self.values[i])
+    }
+
+    fn insert(&mut self, phys: PhysReg, value: u64) {
+        let i = self.index(phys);
+        self.present |= 1 << i;
+        self.values[i] = value;
+    }
+
+    fn remove(&mut self, phys: PhysReg) -> Option<u64> {
+        let value = self.get(phys)?;
+        self.present &= !(1 << self.index(phys));
+        Some(value)
+    }
+
+    /// The register a presence bit stands for.
+    fn phys(&self, index: usize) -> PhysReg {
+        PhysReg::new(index / self.regs_per_bank, index % self.regs_per_bank)
+    }
+
+    /// A bitmask set of registers as an ordered set, for messages.
+    fn regs_of(&self, set: u64) -> BTreeSet<PhysReg> {
+        bits(set).map(|i| self.phys(i)).collect()
+    }
+}
+
 /// The checked machine: real MSP structures plus checker-side mirrors.
 #[derive(Clone)]
 pub struct MspMachine {
-    config: CheckConfig,
+    /// Geometry and program, shared by every explored state.
+    config: Arc<CheckConfig>,
     manager: MspStateManager,
     stores: SimpleStoreQueue,
     insts: Vec<Flight>,
     next_pc: usize,
     next_seq: u64,
-    /// `true` = the IQ slot is free (checker-side mirror of the simulator's
-    /// free list; the manager itself has no notion of slot occupancy).
-    iq_free: Vec<bool>,
-    /// Value ledger: the value each *live* physical register holds (or will
-    /// hold once produced). Maintained from rename/release/recovery
-    /// outcomes, so a leaked or misreleased register desynchronises it.
-    ledger: HashMap<PhysReg, u64>,
+    /// One bit per free IQ slot (checker-side mirror of the simulator's free
+    /// list; the manager itself has no notion of slot occupancy).
+    iq_free: u64,
+    /// Maintained from rename/release/recovery outcomes, so a leaked or
+    /// misreleased register desynchronises it.
+    ledger: Ledger,
     /// Memory as committed by drained stores.
     committed_mem: BTreeMap<u64, u64>,
     /// Sequence numbers drained to memory, in drain order.
     drained: Vec<u64>,
-    /// Program counters whose branch has already taken its one mispredict.
-    mispredicted: BTreeSet<usize>,
+    /// One bit per program counter whose branch has already taken its one
+    /// mispredict.
+    mispredicted: u64,
 }
 
 impl MspMachine {
     /// Builds the initial state: a fresh manager in the tiny geometry with
     /// the initial architectural value ledgered for every bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program touches a register outside the geometry, or if
+    /// the IQ slots, the physical registers or the program exceed 64.
     pub fn new(config: CheckConfig) -> Self {
         for op in &config.program {
-            for src in op.sources() {
+            for &src in op.sources().iter().flatten() {
                 assert!(src < config.banks, "program reads r{src} outside geometry");
             }
             if let Some(dest) = op.dest() {
@@ -258,27 +338,32 @@ impl MspMachine {
                 );
             }
         }
+        assert!(
+            config.iq_size <= MAX_SET
+                && config.banks * config.regs_per_bank <= MAX_SET
+                && config.program.len() <= MAX_SET,
+            "the checker tracks at most {MAX_SET} IQ slots, registers and instructions"
+        );
         let mut msp_config = MspConfig::tiny(config.banks, config.regs_per_bank, config.iq_size);
         msp_config.lcs_delay = config.lcs_delay;
         let manager = MspStateManager::new(msp_config);
-        let mut ledger = HashMap::new();
+        let mut ledger = Ledger::new(config.banks, config.regs_per_bank);
         for bank in 0..config.banks {
             ledger.insert(PhysReg::new(bank, 0), initial_value(bank));
         }
-        let iq_free = vec![true; config.iq_size];
         let stores = SimpleStoreQueue::new(config.sq_size);
         MspMachine {
-            config,
+            iq_free: low_bits(config.iq_size),
+            config: Arc::new(config),
             manager,
             stores,
             insts: Vec::new(),
             next_pc: 0,
             next_seq: 0,
-            iq_free,
             ledger,
             committed_mem: BTreeMap::new(),
             drained: Vec::new(),
-            mispredicted: BTreeSet::new(),
+            mispredicted: 0,
         }
     }
 
@@ -296,30 +381,29 @@ impl MspMachine {
     }
 
     /// Replays the surviving instruction history on an architectural
-    /// reference interpreter: per-instruction expected values, final
-    /// register values and final memory.
-    fn reference_replay(&self) -> (Vec<u64>, Vec<u64>, BTreeMap<u64, u64>) {
-        let mut regs: Vec<u64> = (0..self.config.banks).map(initial_value).collect();
-        let mut mem = BTreeMap::new();
-        let mut expected = Vec::with_capacity(self.insts.len());
+    /// reference interpreter, handing `visit` each instruction with the
+    /// value the reference computes for it (ALU result, stored value or
+    /// branch condition); returns the final register values by bank.
+    fn reference_replay(
+        &self,
+        mut visit: impl FnMut(&Flight, u64) -> Result<(), String>,
+    ) -> Result<[u64; MAX_SET], String> {
+        let mut regs = [0; MAX_SET];
+        for (bank, reg) in regs.iter_mut().enumerate().take(self.config.banks) {
+            *reg = initial_value(bank);
+        }
         for flight in &self.insts {
-            let op = self.config.program[flight.pc];
-            let value = match op {
+            let value = match self.config.program[flight.pc] {
                 Op::Alu { dest, srcs } => {
-                    let inputs: Vec<u64> = srcs.iter().flatten().map(|&s| regs[s]).collect();
-                    let v = mix(flight.pc, &inputs);
+                    let v = mix(flight.pc, srcs.iter().flatten().map(|&s| regs[s]));
                     regs[dest] = v;
                     v
                 }
-                Op::Store { addr, src } => {
-                    mem.insert(addr, regs[src]);
-                    regs[src]
-                }
-                Op::Branch { src } => regs[src],
+                Op::Store { src, .. } | Op::Branch { src } => regs[src],
             };
-            expected.push(value);
+            visit(flight, value)?;
         }
-        (expected, regs, mem)
+        Ok(regs)
     }
 
     /// The invariant oracle suite run after every event.
@@ -329,19 +413,23 @@ impl MspMachine {
 
         // (b) a freed IQ slot must have no residual RelIQ bits anywhere —
         // this is exactly what a skipped squash-path `clear_iq_slot` leaks.
-        for (slot, &free) in self.iq_free.iter().enumerate() {
-            if free && !self.manager.slot_uses(slot).is_empty() {
+        for slot in bits(self.iq_free) {
+            if !self.manager.slot_uses(slot).is_empty() {
                 return Err(format!(
                     "freed IQ slot {slot} still holds RelIQ use bits {:?}",
                     self.manager.slot_uses(slot)
                 ));
             }
         }
-        let held: BTreeSet<usize> = self.insts.iter().filter_map(|i| i.iq_slot).collect();
-        for (slot, &free) in self.iq_free.iter().enumerate() {
-            if free == held.contains(&slot) {
-                return Err(format!("IQ slot {slot} free-list/holder mismatch"));
-            }
+        let held = self
+            .insts
+            .iter()
+            .filter_map(|i| i.iq_slot)
+            .fold(0u64, |set, slot| set | 1 << slot);
+        // Every slot must be exactly one of free and held.
+        let mismatched = !(self.iq_free ^ held) & low_bits(self.config.iq_size);
+        if let Some(slot) = bits(mismatched).next() {
+            return Err(format!("IQ slot {slot} free-list/holder mismatch"));
         }
 
         // (c) the StateId counter must equal the youngest surviving state.
@@ -368,26 +456,26 @@ impl MspMachine {
         // (a) every surviving instruction's dispatched value must equal the
         // committed-path reference interpreter's value for it, and every
         // bank's current renaming must ledger the reference register value.
-        let (expected, regs, _) = self.reference_replay();
-        for (flight, want) in self.insts.iter().zip(&expected) {
-            if flight.value != *want {
+        let regs = self.reference_replay(|flight, want| {
+            if flight.value != want {
                 return Err(format!(
                     "seq {} (pc {}) dispatched with value {:#x}, reference says {want:#x} \
                      — a source renaming resolved to the wrong physical register",
                     flight.seq, flight.pc, flight.value
                 ));
             }
-        }
+            Ok(())
+        })?;
         for (bank, &reference) in regs.iter().enumerate().take(self.config.banks) {
             let mapping = self.manager.source_mapping(ArchReg::from_flat_index(bank));
-            match self.ledger.get(&mapping.phys) {
+            match self.ledger.get(mapping.phys) {
                 None => {
                     return Err(format!(
                         "current mapping {} of r{bank} has no ledgered value",
                         mapping.phys
                     ))
                 }
-                Some(&v) if v != reference => {
+                Some(v) if v != reference => {
                     return Err(format!(
                         "r{bank} maps to {} holding {v:#x}, reference value is {reference:#x}",
                         mapping.phys
@@ -400,16 +488,17 @@ impl MspMachine {
         // The ledger and the live SCT entries must coincide exactly: a
         // register released while still ledgered (or live while unledgered)
         // is a lost or leaked renaming.
-        let mut live = BTreeSet::new();
+        let mut live = 0u64;
         for bank in 0..self.manager.num_banks() {
             for (slot, _) in self.manager.sct(bank).iter_live() {
-                live.insert(PhysReg::new(bank, slot));
+                live |= 1 << self.ledger.index(PhysReg::new(bank, slot));
             }
         }
-        let ledgered: BTreeSet<PhysReg> = self.ledger.keys().copied().collect();
-        if live != ledgered {
+        if live != self.ledger.present {
             return Err(format!(
-                "live registers {live:?} and value ledger {ledgered:?} diverged"
+                "live registers {:?} and value ledger {:?} diverged",
+                self.ledger.regs_of(live),
+                self.ledger.regs_of(self.ledger.present)
             ));
         }
 
@@ -439,7 +528,7 @@ impl MspMachine {
         let Some(&op) = self.config.program.get(self.next_pc) else {
             return false;
         };
-        if !self.iq_free.iter().any(|&f| f) {
+        if self.iq_free == 0 {
             return false;
         }
         match op {
@@ -453,22 +542,21 @@ impl MspMachine {
     fn apply_dispatch(&mut self) -> Result<(), String> {
         let pc = self.next_pc;
         let op = self.config.program[pc];
-        let slot = self
-            .iq_free
-            .iter()
-            .position(|&f| f)
+        let slot = bits(self.iq_free)
+            .next()
             .ok_or("dispatch with no free IQ slot")?;
         let dest_arch = op.dest().map(ArchReg::from_flat_index);
-        let src_arch: Vec<ArchReg> = op
-            .sources()
-            .into_iter()
-            .map(ArchReg::from_flat_index)
-            .collect();
+        let mut src_arch = [ArchReg::from_flat_index(0); 2];
+        let mut arity = 0;
+        for &src in op.sources().iter().flatten() {
+            src_arch[arity] = ArchReg::from_flat_index(src);
+            arity += 1;
+        }
         let renamed = self
             .manager
-            .rename_one(&RenameRequest::new(dest_arch, &src_arch))
+            .rename_one(&RenameRequest::new(dest_arch, &src_arch[..arity]))
             .map_err(|e| format!("rename stalled despite enabledness check: {e}"))?;
-        let srcs: Vec<PhysReg> = renamed.sources.iter().flatten().map(|m| m.phys).collect();
+        let srcs = renamed.sources.map(|m| m.map(|m| m.phys));
         // Exactly the simulator's dispatch discipline: a use bit per source,
         // plus the state-anchoring bit for non-allocating instructions. A
         // source that aliases the anchor is covered by the anchor's bit,
@@ -479,7 +567,7 @@ impl MspMachine {
         } else {
             None
         };
-        for &src in &srcs {
+        for &src in srcs.iter().flatten() {
             if anchor == Some(src) {
                 continue;
             }
@@ -488,18 +576,17 @@ impl MspMachine {
         if let Some(anchor) = anchor {
             self.manager.note_use(anchor, slot);
         }
-        let src_values: Vec<u64> = srcs
-            .iter()
-            .map(|p| {
-                self.ledger
-                    .get(p)
-                    .copied()
-                    .ok_or(format!("source {p} unledgered"))
-            })
-            .collect::<Result<_, _>>()?;
+        let mut src_values = [0; 2];
+        for (value, &src) in src_values.iter_mut().zip(srcs.iter().flatten()) {
+            *value = self
+                .ledger
+                .get(src)
+                .ok_or(format!("source {src} unledgered"))?;
+        }
+        let src_values = &src_values[..arity];
         let value = match op {
             Op::Alu { .. } => {
-                let v = mix(pc, &src_values);
+                let v = mix(pc, src_values.iter().copied());
                 self.ledger.insert(dest.expect("ALU allocates"), v);
                 v
             }
@@ -518,7 +605,7 @@ impl MspMachine {
             }
             Op::Branch { .. } => src_values[0],
         };
-        self.iq_free[slot] = false;
+        self.iq_free &= !(1 << slot);
         self.insts.push(Flight {
             pc,
             seq: self.next_seq,
@@ -545,13 +632,13 @@ impl MspMachine {
                 return Err(format!("issue of non-waiting seq {seq}"));
             }
             (
-                f.srcs.clone(),
+                f.srcs,
                 f.anchor,
                 f.iq_slot.ok_or("waiting inst without slot")?,
                 f.dest.is_some(),
             )
         };
-        for &src in &srcs {
+        for &src in srcs.iter().flatten() {
             if !self.manager.is_ready(src) {
                 return Err(format!("seq {seq} issued with unready source {src}"));
             }
@@ -566,7 +653,7 @@ impl MspMachine {
         // instructions (no anchor bit remains); non-allocating ones keep the
         // slot until completion clears the anchor.
         if allocating {
-            self.iq_free[slot] = true;
+            self.iq_free |= 1 << slot;
             self.insts[idx].iq_slot = None;
         }
         self.insts[idx].status = Status::Executing;
@@ -587,7 +674,7 @@ impl MspMachine {
                     .iq_slot
                     .ok_or("anchored inst without slot")?;
                 self.manager.clear_use(anchor, slot);
-                self.iq_free[slot] = true;
+                self.iq_free |= 1 << slot;
                 self.insts[idx].iq_slot = None;
             }
             (None, None) => return Err("instruction with neither dest nor anchor".into()),
@@ -603,8 +690,8 @@ impl MspMachine {
         let idx = self
             .flight_mut(seq)
             .ok_or(format!("mispredict of unknown seq {seq}"))?;
-        let branch = self.insts[idx].clone();
-        self.mispredicted.insert(branch.pc);
+        let branch = self.insts[idx];
+        self.mispredicted |= 1 << branch.pc;
 
         // 1. Squash younger instructions (youngest first), clearing the
         //    RelIQ column of every slot still held — the simulator's squash
@@ -613,7 +700,7 @@ impl MspMachine {
             let squashed = self.insts.pop().expect("length checked");
             if let Some(slot) = squashed.iq_slot {
                 self.manager.clear_iq_slot(slot);
-                self.iq_free[slot] = true;
+                self.iq_free |= 1 << slot;
             }
         }
         // 2. Squash younger stores.
@@ -628,7 +715,7 @@ impl MspMachine {
         }
         // 3. Precise state recovery to the branch's state.
         let outcome = self.manager.recover(branch.state);
-        for phys in &outcome.released {
+        for &phys in &outcome.released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("recovery released unledgered register {phys}"));
             }
@@ -644,7 +731,7 @@ impl MspMachine {
 
     fn apply_commit(&mut self) -> Result<(), String> {
         let outcome = self.manager.clock_commit();
-        for phys in &outcome.released {
+        for &phys in &outcome.released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("commit released unledgered register {phys}"));
             }
@@ -687,25 +774,6 @@ impl MspMachine {
         }
         Ok(())
     }
-
-    /// Whether a commit clock would change the behavioural state (when it
-    /// would not, the event is suppressed so fully drained machines become
-    /// terminal instead of self-looping).
-    fn commit_changes_state(&self) -> bool {
-        let before = self.fingerprint();
-        let probe = crate::explore::with_silenced_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut next = self.clone();
-                next.apply_commit().map(|()| next.fingerprint())
-            }))
-        });
-        // A panicking or failing commit must stay enabled so the explorer
-        // applies it for real and reports the violation.
-        match probe {
-            Ok(Ok(after)) => after != before,
-            _ => true,
-        }
-    }
 }
 
 impl Model for MspMachine {
@@ -719,23 +787,29 @@ impl Model for MspMachine {
         for flight in &self.insts {
             match flight.status {
                 Status::Waiting => {
-                    if flight.srcs.iter().all(|&s| self.manager.is_ready(s)) {
+                    if flight
+                        .srcs
+                        .iter()
+                        .flatten()
+                        .all(|&s| self.manager.is_ready(s))
+                    {
                         events.push(MspEvent::Issue { seq: flight.seq });
                     }
                 }
                 Status::Executing => {
                     events.push(MspEvent::Complete { seq: flight.seq });
                     let is_branch = matches!(self.config.program[flight.pc], Op::Branch { .. });
-                    if is_branch && !self.mispredicted.contains(&flight.pc) {
+                    if is_branch && self.mispredicted >> flight.pc & 1 == 0 {
                         events.push(MspEvent::Mispredict { seq: flight.seq });
                     }
                 }
                 Status::Done => {}
             }
         }
-        if self.commit_changes_state() {
-            events.push(MspEvent::Commit);
-        }
+        // The commit clock is always enabled; once there is nothing left to
+        // commit or drain it is a stutter, and the explorer drops it, so a
+        // fully drained machine is terminal instead of self-looping.
+        events.push(MspEvent::Commit);
         events
     }
 
@@ -751,7 +825,7 @@ impl Model for MspMachine {
     }
 
     fn fingerprint(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        let mut hasher = WordHasher::default();
         self.manager.hash_canonical(&mut hasher);
         self.next_pc.hash(&mut hasher);
         self.next_seq.hash(&mut hasher);
@@ -838,7 +912,13 @@ impl Model for MspMachine {
                 self.stores.len()
             ));
         }
-        let (_, _, mem) = self.reference_replay();
+        let mut mem = BTreeMap::new();
+        self.reference_replay(|flight, value| {
+            if let Op::Store { addr, .. } = self.config.program[flight.pc] {
+                mem.insert(addr, value);
+            }
+            Ok(())
+        })?;
         if self.committed_mem != mem {
             return Err(format!(
                 "committed memory {:?} differs from the reference {mem:?}",

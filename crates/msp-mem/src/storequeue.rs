@@ -134,25 +134,44 @@ pub trait StoreQueue {
 /// skipped. Slot collisions only ever cause a harmless fall-through to the
 /// real scan (no false negatives), so hit/miss outcomes, forwarded values
 /// and scan latencies are bit-identical to the unfiltered search.
+///
+/// The filter is sized from the queue's capacity: a power of two with at
+/// least `BLOCK_FILTER_SLOTS_PER_BLOCK` slots per block a full queue can
+/// touch, capped at `BLOCK_FILTER_MAX_SLOTS`. Every paper-sized queue (24
+/// entries and up) gets the full cap, while a tiny queue — the model
+/// checker's clones one per explored state — stays a few hundred bytes.
 #[derive(Debug, Clone)]
 struct BlockFilter {
     counts: Vec<u32>,
+    /// `64 - log2(counts.len())`: the hash keeps the top bits.
+    shift: u32,
 }
 
-/// Number of filter slots (16 KiB of counters); must be a power of two.
-const BLOCK_FILTER_SLOTS: usize = 4096;
+/// Upper bound on the filter size (16 KiB of counters); a power of two.
+const BLOCK_FILTER_MAX_SLOTS: usize = 4096;
+
+/// Minimum filter slots per 8-byte block a full queue can occupy (each
+/// store touches at most two blocks), keeping a full queue's slot load at
+/// or below 1/64.
+const BLOCK_FILTER_SLOTS_PER_BLOCK: usize = 64;
 
 impl BlockFilter {
-    fn new() -> Self {
+    fn new(capacity: usize) -> Self {
+        let slots = capacity
+            .max(1)
+            .saturating_mul(2 * BLOCK_FILTER_SLOTS_PER_BLOCK)
+            .next_power_of_two()
+            .min(BLOCK_FILTER_MAX_SLOTS);
         BlockFilter {
-            counts: vec![0; BLOCK_FILTER_SLOTS],
+            counts: vec![0; slots],
+            shift: 64 - slots.trailing_zeros(),
         }
     }
 
     /// Hashes an 8-byte block number to a filter slot.
     #[inline]
-    fn slot(block: u64) -> usize {
-        (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 52) as usize & (BLOCK_FILTER_SLOTS - 1)
+    fn slot(&self, block: u64) -> usize {
+        (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
     /// The (at most two) 8-byte blocks a byte range touches. Accesses are at
@@ -165,18 +184,22 @@ impl BlockFilter {
     #[inline]
     fn add(&mut self, entry: &StoreQueueEntry) {
         let (b0, b1) = Self::blocks(entry.addr, entry.width);
-        self.counts[Self::slot(b0)] += 1;
+        let s0 = self.slot(b0);
+        self.counts[s0] += 1;
         if b1 != b0 {
-            self.counts[Self::slot(b1)] += 1;
+            let s1 = self.slot(b1);
+            self.counts[s1] += 1;
         }
     }
 
     #[inline]
     fn remove(&mut self, entry: &StoreQueueEntry) {
         let (b0, b1) = Self::blocks(entry.addr, entry.width);
-        self.counts[Self::slot(b0)] -= 1;
+        let s0 = self.slot(b0);
+        self.counts[s0] -= 1;
         if b1 != b0 {
-            self.counts[Self::slot(b1)] -= 1;
+            let s1 = self.slot(b1);
+            self.counts[s1] -= 1;
         }
     }
 
@@ -185,7 +208,7 @@ impl BlockFilter {
     #[inline]
     fn may_overlap(&self, addr: u64, width: u64) -> bool {
         let (b0, b1) = Self::blocks(addr, width);
-        self.counts[Self::slot(b0)] > 0 || (b1 != b0 && self.counts[Self::slot(b1)] > 0)
+        self.counts[self.slot(b0)] > 0 || (b1 != b0 && self.counts[self.slot(b1)] > 0)
     }
 }
 
@@ -274,7 +297,7 @@ impl SimpleStoreQueue {
         SimpleStoreQueue {
             capacity,
             entries: VecDeque::with_capacity(capacity),
-            filter: BlockFilter::new(),
+            filter: BlockFilter::new(capacity),
         }
     }
 
@@ -371,8 +394,8 @@ impl HierarchicalStoreQueue {
             // declares 2^20-entry levels that stay almost empty in practice.
             l1: VecDeque::with_capacity(l1_capacity.min(1024)),
             l2: VecDeque::new(),
-            l1_filter: BlockFilter::new(),
-            l2_filter: BlockFilter::new(),
+            l1_filter: BlockFilter::new(l1_capacity),
+            l2_filter: BlockFilter::new(l2_capacity),
             l2_scans: 0,
         }
     }
@@ -635,7 +658,128 @@ mod tests {
         assert!(!sq.forward(0x0f8, 8, 2).is_hit());
     }
 
+    /// The unfiltered reference semantics of `forward`: the youngest
+    /// resident store older than `seq` whose footprint overlaps the load's,
+    /// found without any filter.
+    fn reference_scan(
+        resident: &[StoreQueueEntry],
+        addr: u64,
+        width: u64,
+        seq: u64,
+    ) -> Option<u64> {
+        resident
+            .iter()
+            .rfind(|e| e.seq < seq && e.overlaps(addr, width))
+            .map(|e| e.value)
+    }
+
+    /// Drives `queue` through `ops` beside a plain `Vec` of its resident
+    /// stores and checks every forwarding result against [`reference_scan`].
+    /// `levels` returns how many of the youngest stores sit in the free first
+    /// level and the scan latency of the rest (`None` for a one-level queue).
+    /// Each op is `(kind, addr, width, n)`: insert, forward, drain or
+    /// squash, with `width` indexing 1/2/4/8 bytes and `n` picking the
+    /// load's sequence number, the drain's tag limit or the squash point.
+    fn check_forwarding_against_scan<Q: StoreQueue>(
+        queue: &mut Q,
+        levels: impl Fn(&Q) -> Option<(usize, u64)>,
+        ops: &[(u8, u64, usize, u64)],
+    ) -> Result<(), TestCaseError> {
+        const WIDTHS: [u64; 4] = [1, 2, 4, 8];
+        let mut resident: Vec<StoreQueueEntry> = Vec::new();
+        let (mut next_seq, mut tag) = (1u64, 0u64);
+        for &(kind, addr, width, n) in ops {
+            let width = WIDTHS[width];
+            match kind {
+                0 => {
+                    // Stores share a tag (one StateId) or open a new one.
+                    tag += n & 1;
+                    let e = StoreQueueEntry {
+                        seq: next_seq,
+                        tag,
+                        addr,
+                        width,
+                        value: next_seq * 1000 + addr,
+                    };
+                    let accepted = queue.insert(e);
+                    prop_assert_eq!(accepted, resident.len() < queue.capacity());
+                    if accepted {
+                        resident.push(e);
+                    }
+                    next_seq += 1;
+                }
+                1 => {
+                    let seq = n % (next_seq + 2);
+                    let hit = reference_scan(&resident, addr, width, seq);
+                    let want = match levels(queue) {
+                        None => match hit {
+                            Some(value) => ForwardResult::Hit { value, latency: 0 },
+                            None => ForwardResult::Miss { latency: 0 },
+                        },
+                        Some((l1_len, latency)) => {
+                            let split = resident.len() - l1_len;
+                            match reference_scan(&resident[split..], addr, width, seq) {
+                                Some(value) => ForwardResult::Hit { value, latency: 0 },
+                                None if split == 0 => ForwardResult::Miss { latency: 0 },
+                                None => match hit {
+                                    Some(value) => ForwardResult::Hit { value, latency },
+                                    None => ForwardResult::Miss { latency },
+                                },
+                            }
+                        }
+                    };
+                    prop_assert_eq!(queue.forward(addr, width, seq), want);
+                }
+                2 => {
+                    let limit = n % (tag + 2);
+                    let keep = resident.iter().take_while(|e| e.tag < limit).count();
+                    let want: Vec<StoreQueueEntry> = resident.drain(..keep).collect();
+                    prop_assert_eq!(queue.drain_committed(limit), want);
+                }
+                _ => {
+                    let limit = n % next_seq;
+                    let keep = resident.iter().take_while(|e| e.seq <= limit).count();
+                    prop_assert_eq!(queue.squash_younger(limit), resident.len() - keep);
+                    resident.truncate(keep);
+                    // The front end re-fetches after the squashed point.
+                    next_seq = limit + 1;
+                }
+            }
+            prop_assert_eq!(queue.len(), resident.len());
+        }
+        Ok(())
+    }
+
     proptest! {
+        /// The filtered `forward` of the one-level queue equals an
+        /// unfiltered scan, at every small capacity, under interleaved
+        /// inserts, loads, drains and squashes, with partial-width accesses
+        /// at byte offsets that straddle 8-byte blocks.
+        #[test]
+        fn simple_forwarding_matches_brute_force_scan(
+            capacity in 1usize..=64,
+            ops in proptest::collection::vec((0u8..4, 0u64..48, 0usize..4, 0u64..256), 1..160),
+        ) {
+            let mut queue = SimpleStoreQueue::new(capacity);
+            check_forwarding_against_scan(&mut queue, |_| None, &ops)?;
+        }
+
+        /// The same for the two-level queue, including which level a hit
+        /// came from (an L2 scan pays its latency, hit or miss).
+        #[test]
+        fn hierarchical_forwarding_matches_brute_force_scan(
+            capacities in (1usize..=8, 1usize..=56),
+            ops in proptest::collection::vec((0u8..4, 0u64..48, 0usize..4, 0u64..256), 1..160),
+        ) {
+            let (l1, l2) = capacities;
+            let mut queue = HierarchicalStoreQueue::new(l1, l2, 3);
+            check_forwarding_against_scan(
+                &mut queue,
+                |q: &HierarchicalStoreQueue| Some((q.l1_len(), 3)),
+                &ops,
+            )?;
+        }
+
         /// The hierarchical and the simple store queue agree on forwarding
         /// results (value and hit-ness) for arbitrary store/load sequences,
         /// as long as capacity is not exceeded.

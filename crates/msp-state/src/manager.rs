@@ -801,9 +801,19 @@ impl MspStateManager {
             reliq.hash_canonical(hasher);
         }
         for uses in &self.slot_uses {
-            let mut sorted: Vec<(usize, usize)> = uses.clone();
-            sorted.sort_unstable();
-            sorted.hash(hasher);
+            // Bookkeeping order depends on the order bits were set and
+            // cleared, so hash the uses sorted. A slot holds at most two
+            // source bits and one anchor bit: sort them on the stack.
+            let mut inline = [(0, 0); 4];
+            if let Some(sorted) = inline.get_mut(..uses.len()) {
+                sorted.copy_from_slice(uses);
+                sorted.sort_unstable();
+                sorted.hash(hasher);
+            } else {
+                let mut sorted = uses.clone();
+                sorted.sort_unstable();
+                sorted.hash(hasher);
+            }
         }
         self.counter.current().as_u64().hash(hasher);
         self.lcs.hash_canonical(hasher);
