@@ -95,6 +95,9 @@ const WAL_PAYLOAD_LEN: usize = 8;
 /// one atomic-free `OnceLock` read.
 pub const KILL_POINT_ENV: &str = "MSP_BENCH_KILL_POINT";
 
+/// Crash site: a window's simulation has returned, and its cell is not yet
+/// committed (an exact cell has one window, a sampled cell several).
+pub const KILL_WINDOW_DONE: &str = "window-done";
 /// Crash site: the cell result temp file is written and fsync'd, but not
 /// yet renamed into place (leaves a `.tmp` orphan).
 pub const KILL_CELL_TEMP_WRITTEN: &str = "cell-temp-written";
@@ -109,7 +112,8 @@ pub const KILL_WAL_TORN: &str = "wal-torn";
 pub const KILL_WAL_APPENDED: &str = "wal-appended";
 
 /// Every injectable crash site, in commit order.
-pub const KILL_POINTS: [&str; 4] = [
+pub const KILL_POINTS: [&str; 5] = [
+    KILL_WINDOW_DONE,
     KILL_CELL_TEMP_WRITTEN,
     KILL_CELL_RENAMED,
     KILL_WAL_TORN,
@@ -144,7 +148,7 @@ fn kill_armed(site: &str) -> bool {
     }
 }
 
-fn maybe_kill(site: &str) {
+pub(crate) fn maybe_kill(site: &str) {
     if kill_armed(site) {
         die();
     }

@@ -46,17 +46,15 @@
 
 use crate::energy::{energy_model_for, SampledEnergy, REFERENCE_NODE};
 use crate::experiment::{Axes, Cell, Experiment, ResultSet};
-use crate::journal::{cell_fingerprint, ExperimentJournal};
+use crate::journal::{cell_fingerprint, maybe_kill, ExperimentJournal, KILL_WINDOW_DONE};
 use crate::sampling::{adaptive_window_order, cluster_phases};
 use crate::store::TraceStore;
 use crate::{parallel_map, SampledStats, SamplingPlan};
-use msp_branch::PredictorKind;
 use msp_isa::{BbvAccumulator, BbvSignature, ExecutedInst, Program, Trace, TraceReader};
-use msp_pipeline::{
-    MemoryConfig, SimConfig, SimResult, SimStats, Simulator, TraceSource, WarmState,
-};
+use msp_pipeline::{SimConfig, SimResult, SimStats, Simulator, TraceSource, WarmState};
 use msp_workloads::{Variant, Workload};
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -880,14 +878,17 @@ impl Lab {
     /// trace, and the results are collected into a [`ResultSet`] in
     /// deterministic cell order.
     ///
-    /// A spec carrying a [`SamplingPlan`] runs **sampled**: each cell's
-    /// detail windows become independent work units fanned across the
-    /// worker threads (`Simulator::resume_from` per window), and the
-    /// cell's [`SampledStats`] estimate is aggregated from them. The plan
-    /// decides where the windows go: one per interval
-    /// ([`SamplingPlan::Periodic`]), one per clustered program phase
-    /// ([`SamplingPlan::PhaseAware`]), or incrementally until a target
-    /// confidence ([`SamplingPlan::Adaptive`]).
+    /// Every run takes one path: each pending cell's detailed **windows**
+    /// are planned, the windows run across the workers, and the worker that
+    /// finishes a cell's last window folds the cell and journals it. An
+    /// exact run plans one cold window over the whole budget. A spec
+    /// carrying a [`SamplingPlan`] runs **sampled**: a cold head window,
+    /// then windows that resume at the trace's checkpoints from snapshots
+    /// of a functional warm trajectory (`Simulator::resume_warmed`), folded
+    /// into the cell's [`SampledStats`] estimate. The plan decides where
+    /// the windows go: one per interval ([`SamplingPlan::Periodic`]), one
+    /// per clustered program phase ([`SamplingPlan::PhaseAware`]), or
+    /// incrementally until a target confidence ([`SamplingPlan::Adaptive`]).
     ///
     /// # Panics
     ///
@@ -896,106 +897,14 @@ impl Lab {
     /// inconsistent ([`SamplingPlan::assert_valid`]).
     pub fn run(&self, experiment: &Experiment) -> ResultSet {
         let axes = experiment.axes();
-        let instructions = experiment
-            .instructions_override()
-            .unwrap_or(self.config.instructions);
-        match experiment.sampling_plan() {
-            None => self.run_exact(experiment, &axes, instructions),
-            Some(plan) => self.run_sampled(experiment, &axes, instructions, plan),
+        let plan = experiment.sampling_plan();
+        if let Some(plan) = plan {
+            plan.assert_valid();
         }
-    }
-
-    /// The journal fingerprint of one cell: the workload's program
-    /// fingerprint plus its identity, the hook *name*, the effective
-    /// configuration, the budget and the sampling plan (see
-    /// [`cell_fingerprint`]).
-    fn flat_fingerprint(
-        &self,
-        axes: &Axes<'_>,
-        flat: usize,
-        config: &SimConfig,
-        instructions: u64,
-        sampling: Option<SamplingPlan>,
-    ) -> u64 {
-        let (w, _, _, h) = axes.coordinates(flat);
-        let workload = &axes.workloads[w];
-        cell_fingerprint(
-            program_fingerprint(workload),
-            workload.name(),
-            workload.variant(),
-            axes.hooks[h].name(),
-            config,
-            instructions,
-            sampling,
-        )
-    }
-
-    /// Rehydrates every journaled cell of a sweep: the partially-filled
-    /// cell vector (flat order) plus the flat indices still to compute.
-    /// Without a journal everything is pending.
-    fn replay_journaled(
-        &self,
-        axes: &Axes<'_>,
-        configs: &[SimConfig],
-        instructions: u64,
-        sampling: Option<SamplingPlan>,
-    ) -> (Vec<Option<Cell>>, Vec<usize>) {
-        let mut cells: Vec<Option<Cell>> = vec![None; axes.len()];
-        if let Some(journal) = &self.journal {
-            for (flat, slot) in cells.iter_mut().enumerate() {
-                let fp = self.flat_fingerprint(axes, flat, &configs[flat], instructions, sampling);
-                *slot = journal.load_cell(fp);
-            }
-        }
-        let pending = (0..axes.len()).filter(|&f| cells[f].is_none()).collect();
-        (cells, pending)
-    }
-
-    /// Durably records one finished cell (no-op without a journal).
-    fn record_cell(
-        &self,
-        axes: &Axes<'_>,
-        flat: usize,
-        config: &SimConfig,
-        instructions: u64,
-        sampling: Option<SamplingPlan>,
-        cell: &Cell,
-    ) {
-        if let Some(journal) = &self.journal {
-            let fp = self.flat_fingerprint(axes, flat, config, instructions, sampling);
-            journal.record_cell(fp, cell);
-        }
-    }
-
-    /// Resolves shared traces for exactly the workloads that still have a
-    /// cell to compute — so a fully-journaled resume performs **zero**
-    /// functional executions, not just zero timing simulations.
-    fn resolve_pending_traces(
-        &self,
-        axes: &Axes<'_>,
-        pending: &[usize],
-        instructions: u64,
-        checkpoint_interval: u64,
-    ) -> Vec<Option<SharedTrace>> {
-        let mut traces: Vec<Option<SharedTrace>> = vec![None; axes.workloads.len()];
-        for &flat in pending {
-            let (w, ..) = axes.coordinates(flat);
-            if traces[w].is_none() {
-                traces[w] = Some(self.resolve_trace(
-                    &axes.workloads[w],
-                    instructions,
-                    checkpoint_interval,
-                    true,
-                ));
-            }
-        }
-        traces
-    }
-
-    fn run_exact(&self, experiment: &Experiment, axes: &Axes<'_>, instructions: u64) -> ResultSet {
         // Per-cell effective configurations (hooks applied), built up front
-        // so journal fingerprints cover exactly what each cell will run.
-        let configs: Vec<SimConfig> = (0..axes.len())
+        // so cells can share warm trajectories and journal fingerprints
+        // cover exactly what each cell will run.
+        let configs = (0..axes.len())
             .map(|flat| {
                 let (_, m, p, h) = axes.coordinates(flat);
                 let mut config = SimConfig::machine(axes.machines[m], axes.predictors[p]);
@@ -1003,37 +912,255 @@ impl Lab {
                 config
             })
             .collect();
-        let (mut cells, pending) = self.replay_journaled(axes, &configs, instructions, None);
-        let traces = self.resolve_pending_traces(axes, &pending, instructions, 0);
-        // One flat work list over the unjournaled cells: threads stay busy
-        // across row boundaries, and the flat index encodes the cell
-        // coordinates (workload-major, then machine, predictor, override).
-        // Each finished cell is journaled by the worker that computed it,
-        // so a crash mid-sweep preserves every completed simulation.
-        let computed = parallel_map(self.config.threads, &pending, |&flat| {
-            let (w, m, p, h) = axes.coordinates(flat);
-            let trace = traces[w].as_ref().expect("pending workload resolved");
-            let result = Simulator::with_trace(
-                axes.workloads[w].program(),
-                configs[flat].clone(),
-                trace.open_source(),
-            )
-            .run(instructions);
-            let cell = Cell {
-                workload: axes.workloads[w].name().to_string(),
-                variant: axes.workloads[w].variant(),
-                machine: axes.machines[m],
-                predictor: axes.predictors[p],
-                hook: axes.hooks[h].name().map(str::to_string),
-                result,
-                sampled: None,
-                sampled_energy: None,
+        let sweep = Sweep {
+            axes,
+            configs,
+            instructions: experiment
+                .instructions_override()
+                .unwrap_or(self.config.instructions),
+            plan,
+        };
+        let (axes, instructions) = (&sweep.axes, sweep.instructions);
+
+        // Prepare. Journaled cells replay outright: no trace, no warming,
+        // no windows. Everything below works on the pending cells only. An
+        // exact run reads a trace without checkpoints (interval 0).
+        let (mut cells, pending) = self.replay_journaled(&sweep);
+        let interval = plan.map_or(0, |plan| plan.interval());
+        let traces = self.resolve_pending_traces(&sweep, &pending, interval);
+        let trace_of = |flat: usize| {
+            traces[axes.coordinates(flat).0]
+                .as_ref()
+                .expect("pending workload resolved")
+        };
+        let (snapshots, group_of_flat) =
+            self.warm_trajectories(&sweep, &pending, &traces, interval);
+
+        // Plan: each pending cell's windows, head first.
+        let plans: Vec<CellPlan> = match plan {
+            None => pending
+                .iter()
+                .map(|&flat| CellPlan {
+                    flat,
+                    windows: vec![Window {
+                        start: 0,
+                        warmup: 0,
+                        detail: instructions,
+                        span: instructions,
+                    }],
+                    adaptive: None,
+                })
+                .collect(),
+            Some(plan) => {
+                let (detail_len, warmup_len) = (plan.detail_len(), plan.warmup_len());
+                // The head stratum, measured exactly from a cold machine: it
+                // counts the one-time cold-start transient that sampled
+                // windows would misrepresent. A third of an interval bounds
+                // that transient at a fraction of a full interval's detailed
+                // cost; a full-detail plan (detail == interval) keeps
+                // complete coverage.
+                let head_len = (interval / 3).max(detail_len).min(instructions);
+                let head = Window {
+                    start: 0,
+                    warmup: 0,
+                    detail: head_len,
+                    span: head_len,
+                };
+                // The budget share a window at an interval start stands for.
+                let span_at = |_start: u64| interval;
+                // The window at an interval start past the head, clipped to
+                // the budget: `warmup_len` of detailed pipeline fill (it
+                // re-establishes the occupancy no snapshot carries), then
+                // `detail_len` measured.
+                let window_at = |start: u64| {
+                    let left = instructions - start;
+                    let warmup = warmup_len.min(left);
+                    Window {
+                        start,
+                        warmup,
+                        detail: detail_len.min(left - warmup),
+                        span: span_at(start),
+                    }
+                };
+                // A cell's interval starts past the head that are backed by
+                // a trace checkpoint and a warm snapshot. A missing one means
+                // the program ended before that start.
+                let tail_starts = |flat: usize| -> Vec<u64> {
+                    (1..)
+                        .map(|k| k * interval)
+                        .take_while(|&start| {
+                            start < instructions
+                                && trace_of(flat).has_checkpoint_at(start)
+                                && snapshots[group_of_flat[flat]].len()
+                                    >= (start / interval) as usize
+                        })
+                        .collect()
+                };
+                // Phase-aware placement is per workload: every cell of a
+                // workload shares the trace, hence the BBVs and the
+                // clustering.
+                let mut phases: Vec<Option<Vec<(u64, u64)>>> = vec![None; axes.workloads.len()];
+                pending
+                    .iter()
+                    .map(|&flat| {
+                        let mut adaptive = None;
+                        let tail: Vec<Window> = match plan {
+                            SamplingPlan::Periodic { .. } => {
+                                tail_starts(flat).into_iter().map(window_at).collect()
+                            }
+                            SamplingPlan::PhaseAware {
+                                max_phases, seed, ..
+                            } => {
+                                let (w, ..) = axes.coordinates(flat);
+                                let program = axes.workloads[w].program();
+                                let representatives = phases[w].get_or_insert_with(|| {
+                                    let bbvs = trace_of(flat).bbvs(program, interval);
+                                    let starts = tail_starts(flat);
+                                    phase_representatives(
+                                        &bbvs, &starts, interval, span_at, max_phases, seed,
+                                    )
+                                });
+                                representatives
+                                    .iter()
+                                    .map(|&(start, span)| Window {
+                                        span,
+                                        ..window_at(start)
+                                    })
+                                    .collect()
+                            }
+                            SamplingPlan::Adaptive {
+                                target_rel_stderr,
+                                max_windows,
+                                ..
+                            } => {
+                                // Candidates in bit-reversed (low-discrepancy)
+                                // order, so every prefix spreads over the
+                                // whole budget; the measured ones split the
+                                // whole tail span.
+                                let starts = tail_starts(flat);
+                                let tail_span = starts.iter().map(|&start| span_at(start)).sum();
+                                adaptive = Some((target_rel_stderr, tail_span));
+                                adaptive_window_order(starts.len())
+                                    .into_iter()
+                                    .map(|i| window_at(starts[i]))
+                                    .filter(|window| window.detail > 0)
+                                    .take(max_windows)
+                                    .collect()
+                            }
+                        };
+                        CellPlan {
+                            flat,
+                            windows: std::iter::once(head)
+                                .chain(tail)
+                                .filter(|window| window.detail > 0)
+                                .collect(),
+                            adaptive,
+                        }
+                    })
+                    .collect()
+            }
+        };
+        // A sampled cell with no window past the head estimates its whole
+        // budget from the cold start alone, with no error figure. (An exact
+        // cell is all head.)
+        let head_only = plans.iter().filter(|cell| cell.windows.len() == 1).count();
+        if let (Some(plan), 1..) = (plan, head_only) {
+            let name = match plan {
+                SamplingPlan::Periodic { .. } => "periodic",
+                SamplingPlan::PhaseAware { .. } => "phases",
+                SamplingPlan::Adaptive { .. } => "adaptive",
             };
-            self.record_cell(axes, flat, &configs[flat], instructions, None, &cell);
-            cell
+            eprintln!(
+                "msp-bench: warning: {name} sampling measures only the head window in \
+                 {head_only} of {} cells at a {instructions}-instruction budget with a \
+                 {interval}-instruction interval: their estimates cover the cold start \
+                 alone and have no error figure (use an interval below the budget)",
+                plans.len()
+            );
+        }
+
+        // Execute. One window function for every plan: a window at 0 is a
+        // cold run, which needs no checkpoint (`Simulator::with_trace` is
+        // pinned bit-identical to `resume_from(trace, 0, 0)`); a window past
+        // 0 resumes at its checkpoint from its warm snapshot.
+        let simulate = |flat: usize, window: &Window| -> SimResult {
+            let (w, ..) = axes.coordinates(flat);
+            let program = axes.workloads[w].program();
+            let config = sweep.configs[flat].clone();
+            let source = trace_of(flat).open_source();
+            if window.start == 0 {
+                return Simulator::with_trace(program, config, source).run(window.detail);
+            }
+            let snapshot = &snapshots[group_of_flat[flat]][(window.start / interval) as usize - 1];
+            let mut sim =
+                Simulator::resume_warmed(program, config, source, window.start, snapshot.clone());
+            if window.warmup == 0 {
+                return sim.run(window.detail);
+            }
+            // Detailed pipeline fill, excluded from the measured window.
+            // Bulk-commit machines can overshoot the fill request by a whole
+            // commit group, so the measured window is anchored at wherever
+            // the fill actually stopped.
+            sim.run(window.warmup);
+            let prefix = sim.stats().clone();
+            let mut result = sim.run(prefix.committed + window.detail);
+            result.stats = result.stats.subtracting(&prefix);
+            result
+        };
+        // Work units, each a range of one cell's windows, cell-major. The
+        // windows of a periodic or phase-aware cell are independent, so each
+        // is a unit and even a one-cell sweep parallelises; an adaptive cell
+        // runs its windows in order until its stop rule fires, so it is one
+        // unit, as is an exact cell's single window. Per cell, `progress`
+        // counts the units still running and collects the measured windows.
+        let mut units: Vec<(usize, Range<usize>)> = Vec::new();
+        let mut progress: Vec<Mutex<(usize, Vec<Option<SimResult>>)>> = Vec::new();
+        for (c, cell) in plans.iter().enumerate() {
+            let n = cell.windows.len();
+            let width = if cell.adaptive.is_some() { n.max(1) } else { 1 };
+            let before = units.len();
+            units.extend(
+                (0..n.max(1))
+                    .step_by(width)
+                    .map(|i| (c, i..n.min(i + width))),
+            );
+            progress.push(Mutex::new((units.len() - before, vec![None; n])));
+        }
+        let folded = parallel_map(self.config.threads, &units, |(c, range)| {
+            let cell = &plans[*c];
+            let mut measured = Vec::with_capacity(range.len());
+            for window in &cell.windows[range.clone()] {
+                measured.push(simulate(cell.flat, window));
+                maybe_kill(KILL_WINDOW_DONE);
+                if let Some((target, _)) = cell.adaptive {
+                    let estimate = SampledStats::from_intervals(&cell.weighted(&measured));
+                    if estimate.ipc_rel_stderr.is_some_and(|e| e <= target) {
+                        break;
+                    }
+                }
+            }
+            let mut guard = progress[*c].lock().expect("cell progress poisoned");
+            let (running, results) = &mut *guard;
+            for (slot, result) in results[range.start..].iter_mut().zip(measured) {
+                *slot = Some(result);
+            }
+            *running -= 1;
+            if *running > 0 {
+                return None;
+            }
+            // Fold and commit. An adaptive cell that stopped early measured
+            // a prefix of its windows.
+            let measured = std::mem::take(results)
+                .into_iter()
+                .map_while(|r| r)
+                .collect();
+            drop(guard);
+            Some(self.fold_cell(&sweep, cell, measured))
         });
-        for (&flat, cell) in pending.iter().zip(computed) {
-            cells[flat] = Some(cell);
+        for ((c, _), cell) in units.iter().zip(folded) {
+            if let Some(cell) = cell {
+                cells[plans[*c].flat] = Some(cell);
+            }
         }
         let cells = cells
             .into_iter()
@@ -1042,410 +1169,273 @@ impl Lab {
         ResultSet::new(
             experiment.name().to_string(),
             instructions,
-            None,
+            plan,
             axes,
             cells,
         )
     }
 
-    /// The sampled execution path: one work unit per `(cell, window)`
-    /// pair, fanned across the worker threads, so even a single-cell
-    /// experiment parallelises. Units resume from the trace's architectural
-    /// checkpoints, seeded with snapshots of a **cumulative warm
-    /// trajectory**, measure in detail, and fold into per-cell
-    /// [`SampledStats`].
-    ///
-    /// Window placement and warming (see DESIGN.md for the why):
-    ///
-    /// * interval 0 is measured **exactly** — detail over the whole first
-    ///   interval from a cold machine, which is bit-identical to the exact
-    ///   run's prefix and captures the one-time cold-start transient that
-    ///   sampled windows would otherwise misrepresent;
-    /// * a window starting at `k·interval`, `k ≥ 1`, resumes at the
-    ///   checkpoint there, seeded with a [`WarmState`] snapshot taken at
-    ///   that point by one functional warming pass over the whole trace —
-    ///   so every window's caches and predictors carry the history of the
-    ///   *entire* prefix (a bounded warm window systematically under-trains
-    ///   slow-converging predictors and large working sets). One trajectory
-    ///   serves every cell whose warm structures are configured identically
-    ///   (same predictor, same memory geometry) — in the reference table1
-    ///   sweep, all four machines share one. The first `warmup_len`
-    ///   committed instructions of the window run in detail but are
-    ///   excluded from measurement: they re-establish the pipeline
-    ///   occupancy (in-flight window, queues) that no snapshot carries,
-    ///   which deep bulk-commit machines need a few hundred cycles to ramp.
-    ///
-    /// The [`SamplingPlan`] decides **which** interval starts get a window
-    /// and how each window is weighted (its represented span):
-    ///
-    /// * [`SamplingPlan::Periodic`] — every eligible interval start, each
-    ///   spanning its own interval;
-    /// * [`SamplingPlan::PhaseAware`] — the tail intervals' basic-block
-    ///   vectors are clustered once per workload ([`cluster_phases`]) and
-    ///   only each phase's most central interval is simulated, spanning
-    ///   `members × interval` — the SimPoint population weighting, folded
-    ///   through the same span-weighted estimator;
-    /// * [`SamplingPlan::Adaptive`] — periodic windows are added one at a
-    ///   time in bit-reversed (low-discrepancy) order, re-estimating after
-    ///   each, until `ipc_rel_stderr` reaches the target or `max_windows`
-    ///   is hit; the measured windows split the whole tail span evenly.
-    fn run_sampled(
-        &self,
-        experiment: &Experiment,
-        axes: &Axes<'_>,
-        instructions: u64,
-        plan: SamplingPlan,
-    ) -> ResultSet {
-        plan.assert_valid();
-        let interval = plan.interval();
-        let detail_len = plan.detail_len();
-        let warmup_len = plan.warmup_len();
-        let checkpoint_interval = interval;
-        // Per-cell effective configuration (hooks applied), built up front
-        // so cells can share warm trajectories and journal fingerprints
-        // cover exactly what each cell will run.
-        let configs: Vec<SimConfig> = (0..axes.len())
-            .map(|flat| {
-                let (_, m, p, h) = axes.coordinates(flat);
-                let mut config = SimConfig::machine(axes.machines[m], axes.predictors[p]);
-                axes.hooks[h].apply(&mut config);
-                config
-            })
-            .collect();
-        // Journaled cells replay outright: no trace, no warming pass, no
-        // work units. Everything below operates on the pending cells only.
-        let (mut replayed, pending) =
-            self.replay_journaled(axes, &configs, instructions, Some(plan));
-        let traces = self.resolve_pending_traces(axes, &pending, instructions, checkpoint_interval);
-        // Group the cells by warm-structure configuration: (workload,
-        // predictor, memory geometry). Cells in one group see identical
-        // warm trajectories, so the functional warming pass runs once per
-        // group, not once per cell.
-        let mut groups: Vec<(usize, PredictorKind, MemoryConfig, Vec<usize>)> = Vec::new();
-        for &flat in &pending {
-            let config = &configs[flat];
-            let (w, ..) = axes.coordinates(flat);
-            let key = (w, config.predictor, config.memory);
-            match groups
-                .iter_mut()
-                .find(|(gw, gp, gm, _)| (*gw, *gp, *gm) == key)
-            {
-                Some((.., members)) => members.push(flat),
-                None => groups.push((key.0, key.1, key.2, vec![flat])),
+    /// Rehydrates every journaled cell of a sweep: the partially-filled
+    /// cell vector (flat order) plus the flat indices still to compute.
+    /// Without a journal everything is pending.
+    fn replay_journaled(&self, sweep: &Sweep<'_>) -> (Vec<Option<Cell>>, Vec<usize>) {
+        let mut cells: Vec<Option<Cell>> = vec![None; sweep.axes.len()];
+        if let Some(journal) = &self.journal {
+            for (flat, slot) in cells.iter_mut().enumerate() {
+                *slot = journal.load_cell(sweep.fingerprint(flat));
             }
         }
-        // One warming pass per group (fanned across workers): absorb the
-        // trace from the head, snapshotting at every interval start ≥ 1.
-        // Snapshot s of a group seeds the window at `(s + 1) · interval`.
-        let group_snapshots: Vec<Vec<WarmState>> =
-            parallel_map(self.config.threads, &groups, |(w, _, _, members)| {
-                // Each warming pass streams through its own source view, so
-                // a disk-resident trace costs one cursor window per group,
-                // not a materialisation.
-                let program = axes.workloads[*w].program();
-                let mut source = traces[*w]
-                    .as_ref()
-                    .expect("grouped workload resolved")
-                    .open_source();
-                let mut warm = WarmState::for_config(program, &configs[members[0]]);
-                let mut snapshots = Vec::new();
-                let mut index = 0;
-                let mut start = interval;
-                while start < instructions {
-                    while index < start {
-                        let Some(rec) = source.get(program, index) else {
-                            return snapshots;
-                        };
-                        warm.absorb(rec);
-                        index += 1;
-                    }
-                    snapshots.push(warm.clone());
-                    start += interval;
-                }
-                snapshots
-            });
-        let group_of_flat: Vec<usize> = (0..axes.len())
-            .map(|flat| {
-                groups
-                    .iter()
-                    .position(|(.., members)| members.contains(&flat))
-                    // Replayed cells have no group; nothing indexes theirs.
-                    .unwrap_or(usize::MAX)
-            })
-            .collect();
-        // The head stratum: measured exactly from a cold machine. A third
-        // of an interval bounds the cold-start transient at a fraction of a
-        // full interval's detailed cost; a full-detail plan (detail ==
-        // interval) keeps complete coverage.
-        let head_len = (interval / 3).max(detail_len).min(instructions);
-        // Eligible window starts of a cell: interval starts backed by a
-        // trace checkpoint and (past the head) by a warm snapshot. A
-        // missing checkpoint or snapshot means the program ended before
-        // that start; nothing to measure from there on.
-        let eligible_starts = |flat: usize| -> Vec<u64> {
+        let pending = (0..cells.len()).filter(|&f| cells[f].is_none()).collect();
+        (cells, pending)
+    }
+
+    /// Resolves shared traces for exactly the workloads that still have a
+    /// cell to compute — so a fully-journaled resume performs **zero**
+    /// functional executions, not just zero timing simulations.
+    fn resolve_pending_traces(
+        &self,
+        sweep: &Sweep<'_>,
+        pending: &[usize],
+        checkpoint_interval: u64,
+    ) -> Vec<Option<SharedTrace>> {
+        let axes = &sweep.axes;
+        let mut traces: Vec<Option<SharedTrace>> = vec![None; axes.workloads.len()];
+        for &flat in pending {
             let (w, ..) = axes.coordinates(flat);
-            let trace = traces[w].as_ref().expect("pending workload resolved");
-            let mut starts = Vec::new();
-            let mut start = 0;
-            while start < instructions {
-                if !trace.has_checkpoint_at(start) {
-                    break;
+            if traces[w].is_none() {
+                traces[w] = Some(self.resolve_trace(
+                    &axes.workloads[w],
+                    sweep.instructions,
+                    checkpoint_interval,
+                    true,
+                ));
+            }
+        }
+        traces
+    }
+
+    /// The cumulative warm trajectories of the pending cells, plus each
+    /// cell's trajectory index (flat order). A bounded warm window
+    /// systematically under-trains slow-converging predictors and large
+    /// working sets, so one functional pass absorbs the trace from the head
+    /// and snapshots at every interval start ≥ 1: snapshot `s` seeds the
+    /// window at `(s + 1) · interval` with the history of its *entire*
+    /// prefix. Cells whose warm structures are configured alike (same
+    /// workload, predictor and memory geometry; in the reference table1
+    /// sweep, all four machines) share one trajectory. Only windows past 0
+    /// resume warm, so a sweep with none — every exact run, and a sampled
+    /// budget within one interval — builds no trajectory.
+    fn warm_trajectories(
+        &self,
+        sweep: &Sweep<'_>,
+        pending: &[usize],
+        traces: &[Option<SharedTrace>],
+        interval: u64,
+    ) -> (Vec<Vec<WarmState>>, Vec<usize>) {
+        let configs = &sweep.configs;
+        // `(workload, first member)` per trajectory.
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        // Replayed cells have no trajectory; nothing indexes theirs.
+        let mut group_of_flat = vec![usize::MAX; configs.len()];
+        if interval > 0 && interval < sweep.instructions {
+            for &flat in pending {
+                let (w, ..) = sweep.axes.coordinates(flat);
+                let alike = |&(gw, first): &(usize, usize)| {
+                    gw == w
+                        && configs[first].predictor == configs[flat].predictor
+                        && configs[first].memory == configs[flat].memory
+                };
+                group_of_flat[flat] = match groups.iter().position(alike) {
+                    Some(g) => g,
+                    None => {
+                        groups.push((w, flat));
+                        groups.len() - 1
+                    }
+                };
+            }
+        }
+        let snapshots = parallel_map(self.config.threads, &groups, |&(w, first)| {
+            // Each warming pass streams through its own source view, so a
+            // disk-resident trace costs one cursor window per group, not a
+            // materialisation.
+            let program = sweep.axes.workloads[w].program();
+            let mut source = traces[w]
+                .as_ref()
+                .expect("grouped workload resolved")
+                .open_source();
+            let mut warm = WarmState::for_config(program, &configs[first]);
+            let mut snapshots = Vec::new();
+            let mut index = 0;
+            let mut start = interval;
+            while start < sweep.instructions {
+                while index < start {
+                    let Some(rec) = source.get(program, index) else {
+                        return snapshots;
+                    };
+                    warm.absorb(rec);
+                    index += 1;
                 }
-                if start > 0
-                    && group_snapshots[group_of_flat[flat]].len() < (start / interval) as usize
-                {
-                    break;
-                }
-                starts.push(start);
+                snapshots.push(warm.clone());
                 start += interval;
             }
-            starts
-        };
-        // `(warmup, detail)` of the window at a start, clipped to the
-        // budget.
-        let window_shape = |start: u64| -> (u64, u64) {
-            if start == 0 {
-                (0, head_len)
-            } else {
-                let warmup = warmup_len.min(instructions - start);
-                (warmup, detail_len.min(instructions - start - warmup))
-            }
-        };
-        // One detailed window: resume, fill, measure. Shared verbatim by
-        // all three plans — they only differ in which windows run.
-        let simulate = |flat: usize, start: u64, warmup: u64, detail: u64| -> SimResult {
-            let (w, ..) = axes.coordinates(flat);
-            let config = configs[flat].clone();
-            let program = axes.workloads[w].program();
-            let trace = traces[w].as_ref().expect("pending workload resolved");
-            if start == 0 {
-                // The head window: exact detail from a cold machine.
-                return Simulator::resume_from(program, config, trace.open_source(), 0, 0)
-                    .run(detail);
-            }
-            let snapshot = &group_snapshots[group_of_flat[flat]][(start / interval) as usize - 1];
-            let mut sim = Simulator::resume_warmed(
-                program,
-                config,
-                trace.open_source(),
-                start,
-                snapshot.clone(),
-            );
-            if warmup == 0 {
-                return sim.run(detail);
-            }
-            // Detailed pipeline fill, excluded from the measured window.
-            // Bulk-commit machines can overshoot the fill request by a
-            // whole commit group, so the measured window is anchored at
-            // wherever the fill actually stopped.
-            sim.run(warmup);
-            let prefix = sim.stats().clone();
-            let mut result = sim.run(prefix.committed + detail);
-            result.stats = result.stats.subtracting(&prefix);
-            result
-        };
-        // Per pending cell: the measured `(stats, represented span)` pairs
-        // (head first) and the watchdog flag.
-        let per_cell: Vec<(Vec<(SimStats, u64)>, bool)> = match plan {
-            SamplingPlan::Adaptive {
-                target_rel_stderr,
-                max_windows,
-                ..
-            } => {
-                // Each cell is one sequential stop-when-confident loop;
-                // the cells themselves fan across the workers.
-                parallel_map(self.config.threads, &pending, |&flat| {
-                    let tail: Vec<u64> = eligible_starts(flat)
-                        .into_iter()
-                        .filter(|&s| s > 0)
-                        .collect();
-                    let tail_span = tail.len() as u64 * interval;
-                    let mut truncated = false;
-                    let mut head: Vec<(SimStats, u64)> = Vec::new();
-                    if head_len > 0 {
-                        let r = simulate(flat, 0, 0, head_len);
-                        truncated |= r.truncated_by_watchdog;
-                        head.push((r.stats, head_len));
-                    }
-                    let assemble = |windows: &[SimStats]| -> Vec<(SimStats, u64)> {
-                        let mut per = head.clone();
-                        if !windows.is_empty() {
-                            let spans = spread_spans(tail_span, windows.len());
-                            per.extend(windows.iter().cloned().zip(spans));
-                        }
-                        per
-                    };
-                    let mut windows: Vec<SimStats> = Vec::new();
-                    for &oi in &adaptive_window_order(tail.len()) {
-                        if windows.len() >= max_windows {
-                            break;
-                        }
-                        let start = tail[oi];
-                        let (warmup, detail) = window_shape(start);
-                        if detail == 0 {
-                            continue;
-                        }
-                        let r = simulate(flat, start, warmup, detail);
-                        truncated |= r.truncated_by_watchdog;
-                        windows.push(r.stats);
-                        let est = SampledStats::from_intervals(&assemble(&windows));
-                        if est.ipc_rel_stderr.is_some_and(|e| e <= target_rel_stderr) {
-                            break;
-                        }
-                    }
-                    (assemble(&windows), truncated)
-                })
-            }
-            SamplingPlan::Periodic { .. } | SamplingPlan::PhaseAware { .. } => {
-                // The flat unit list, cell-major then start-ascending — the
-                // per-cell walk below consumes it back in the same order.
-                struct Unit {
-                    flat: usize,
-                    start: u64,
-                    warmup: u64,
-                    detail: u64,
-                    span: u64,
-                }
-                let mut units: Vec<Unit> = Vec::new();
-                // Phase-aware window placement is a per-workload decision
-                // (every cell of a workload shares the trace, hence the
-                // BBVs and the clustering); computed once and reused.
-                let mut phase_windows: Vec<Option<Vec<(u64, u64)>>> =
-                    vec![None; axes.workloads.len()];
-                for &flat in &pending {
-                    let (w, ..) = axes.coordinates(flat);
-                    let starts = eligible_starts(flat);
-                    let placed: Vec<(u64, u64)> = match plan {
-                        SamplingPlan::Periodic { .. } => starts
-                            .iter()
-                            .map(|&s| (s, if s == 0 { head_len } else { interval }))
-                            .collect(),
-                        SamplingPlan::PhaseAware {
-                            max_phases, seed, ..
-                        } => {
-                            if phase_windows[w].is_none() {
-                                let trace = traces[w].as_ref().expect("pending workload resolved");
-                                let bbvs = trace.bbvs(axes.workloads[w].program(), interval);
-                                // Tail intervals with a recorded BBV (the
-                                // program ran into them); interval k covers
-                                // [k·interval, (k+1)·interval).
-                                let tail: Vec<u64> = starts
-                                    .iter()
-                                    .copied()
-                                    .filter(|&s| s > 0 && ((s / interval) as usize) < bbvs.len())
-                                    .collect();
-                                let tail_bbvs: Vec<BbvSignature> = tail
-                                    .iter()
-                                    .map(|&s| bbvs[(s / interval) as usize].clone())
-                                    .collect();
-                                let phases = cluster_phases(&tail_bbvs, max_phases, seed);
-                                let mut windows: Vec<(u64, u64)> = phases
-                                    .representatives
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(p, &rep)| {
-                                        let members =
-                                            phases.assignment.iter().filter(|&&a| a == p).count()
-                                                as u64;
-                                        (tail[rep], members * interval)
-                                    })
-                                    .collect();
-                                windows.sort_unstable();
-                                phase_windows[w] = Some(windows);
-                            }
-                            let mut placed = Vec::new();
-                            if head_len > 0 {
-                                placed.push((0, head_len));
-                            }
-                            placed.extend(phase_windows[w].as_ref().unwrap());
-                            placed
-                        }
-                        SamplingPlan::Adaptive { .. } => unreachable!("handled above"),
-                    };
-                    for (start, span) in placed {
-                        let (warmup, detail) = window_shape(start);
-                        if detail > 0 {
-                            units.push(Unit {
-                                flat,
-                                start,
-                                warmup,
-                                detail,
-                                span,
-                            });
-                        }
-                    }
-                }
-                let results = parallel_map(self.config.threads, &units, |unit| {
-                    simulate(unit.flat, unit.start, unit.warmup, unit.detail)
-                });
-                let mut per_cell = Vec::with_capacity(pending.len());
-                let mut cursor = 0;
-                for &flat in &pending {
-                    let mut per_interval: Vec<(SimStats, u64)> = Vec::new();
-                    let mut truncated = false;
-                    while cursor < units.len() && units[cursor].flat == flat {
-                        let result = &results[cursor];
-                        truncated |= result.truncated_by_watchdog;
-                        per_interval.push((result.stats.clone(), units[cursor].span));
-                        cursor += 1;
-                    }
-                    per_cell.push((per_interval, truncated));
-                }
-                per_cell
-            }
-        };
-        let mut cells = Vec::with_capacity(axes.len());
-        let mut computed = pending.iter().zip(per_cell);
-        for flat in 0..axes.len() {
-            if let Some(cell) = replayed[flat].take() {
-                // Rehydrated from the journal; the computed list never
-                // contained this cell.
-                cells.push(cell);
-                continue;
-            }
-            let (&pflat, (per_interval, truncated)) =
-                computed.next().expect("every pending cell computed");
-            debug_assert_eq!(pflat, flat);
-            let (w, m, p, h) = axes.coordinates(flat);
+            snapshots
+        });
+        (snapshots, group_of_flat)
+    }
+
+    /// Folds a finished cell's measured windows into its [`Cell`] and
+    /// journals it. An exact cell is its one window verbatim; a sampled
+    /// cell sums its windows and carries their span-weighted
+    /// [`SampledStats`] and [`SampledEnergy`] estimates.
+    fn fold_cell(&self, sweep: &Sweep<'_>, cell: &CellPlan, measured: Vec<SimResult>) -> Cell {
+        let axes = &sweep.axes;
+        let (w, m, p, h) = axes.coordinates(cell.flat);
+        let (result, sampled, sampled_energy) = if sweep.plan.is_none() {
+            let result = measured.into_iter().next();
+            (result.expect("an exact cell runs one window"), None, None)
+        } else {
+            let per_interval = cell.weighted(&measured);
             let mut aggregate = SimStats::default();
             for (stats, _) in &per_interval {
                 aggregate.accumulate(stats);
             }
             let energy_model = energy_model_for(axes.machines[m], REFERENCE_NODE);
-            let cell = Cell {
-                workload: axes.workloads[w].name().to_string(),
-                variant: axes.workloads[w].variant(),
-                machine: axes.machines[m],
-                predictor: axes.predictors[p],
-                hook: axes.hooks[h].name().map(str::to_string),
-                result: SimResult {
-                    machine: axes.machines[m].label(),
-                    predictor: axes.predictors[p].label().to_string(),
-                    truncated_by_watchdog: truncated,
-                    stats: aggregate,
-                },
-                sampled: Some(SampledStats::from_intervals(&per_interval)),
-                sampled_energy: Some(SampledEnergy::from_intervals(&per_interval, &energy_model)),
+            let result = SimResult {
+                machine: axes.machines[m].label(),
+                predictor: axes.predictors[p].label().to_string(),
+                truncated_by_watchdog: measured.iter().any(|r| r.truncated_by_watchdog),
+                stats: aggregate,
             };
-            self.record_cell(axes, flat, &configs[flat], instructions, Some(plan), &cell);
-            cells.push(cell);
+            (
+                result,
+                Some(SampledStats::from_intervals(&per_interval)),
+                Some(SampledEnergy::from_intervals(&per_interval, &energy_model)),
+            )
+        };
+        let folded = Cell {
+            workload: axes.workloads[w].name().to_string(),
+            variant: axes.workloads[w].variant(),
+            machine: axes.machines[m],
+            predictor: axes.predictors[p],
+            hook: axes.hooks[h].name().map(str::to_string),
+            result,
+            sampled,
+            sampled_energy,
+        };
+        if let Some(journal) = &self.journal {
+            journal.record_cell(sweep.fingerprint(cell.flat), &folded);
         }
-        ResultSet::new(
-            experiment.name().to_string(),
-            instructions,
-            Some(plan),
-            axes,
-            cells,
+        folded
+    }
+}
+
+/// What every stage of [`Lab::run`] needs to know about the sweep.
+struct Sweep<'a> {
+    axes: Axes<'a>,
+    /// Per-cell effective configurations, in flat order.
+    configs: Vec<SimConfig>,
+    instructions: u64,
+    plan: Option<SamplingPlan>,
+}
+
+impl Sweep<'_> {
+    /// The journal fingerprint of one cell: the workload's program
+    /// fingerprint plus its identity, the hook *name*, the effective
+    /// configuration, the budget and the sampling plan (see
+    /// [`cell_fingerprint`]).
+    fn fingerprint(&self, flat: usize) -> u64 {
+        let (w, _, _, h) = self.axes.coordinates(flat);
+        let workload = &self.axes.workloads[w];
+        cell_fingerprint(
+            program_fingerprint(workload),
+            workload.name(),
+            workload.variant(),
+            self.axes.hooks[h].name(),
+            &self.configs[flat],
+            self.instructions,
+            self.plan,
         )
     }
 }
 
-/// Splits `total` span units over `m` windows as evenly as integer spans
-/// allow (the first `total % m` windows carry the remainder) — how an
-/// adaptive estimate distributes the tail span over however many windows
-/// it ended up measuring.
-fn spread_spans(total: u64, m: usize) -> Vec<u64> {
-    let base = total / m as u64;
-    let rem = (total % m as u64) as usize;
-    (0..m).map(|i| base + u64::from(i < rem)).collect()
+/// SimPoint placement over one workload's tail interval starts: clusters
+/// their basic-block vectors into phases and returns each phase's
+/// representative start with the span of its whole population,
+/// start-ascending. Only starts with a recorded BBV (the program ran into
+/// them) take part; interval k covers `[k·interval, (k+1)·interval)`.
+fn phase_representatives(
+    bbvs: &[BbvSignature],
+    starts: &[u64],
+    interval: u64,
+    span_at: impl Fn(u64) -> u64,
+    max_phases: usize,
+    seed: u64,
+) -> Vec<(u64, u64)> {
+    let tail: Vec<u64> = starts
+        .iter()
+        .copied()
+        .filter(|&start| ((start / interval) as usize) < bbvs.len())
+        .collect();
+    let tail_bbvs: Vec<BbvSignature> = tail
+        .iter()
+        .map(|&start| bbvs[(start / interval) as usize].clone())
+        .collect();
+    let phases = cluster_phases(&tail_bbvs, max_phases, seed);
+    let mut representatives: Vec<(u64, u64)> = phases
+        .representatives
+        .iter()
+        .enumerate()
+        .map(|(phase, &rep)| {
+            let members = phases.assignment.iter().zip(&tail);
+            let span = members
+                .filter(|&(&assigned, _)| assigned == phase)
+                .map(|(_, &start)| span_at(start))
+                .sum();
+            (tail[rep], span)
+        })
+        .collect();
+    representatives.sort_unstable();
+    representatives
+}
+
+/// One detailed simulation of a cell: resume at trace index `start`, run
+/// `warmup` committed instructions of pipeline fill that are not measured,
+/// then measure `detail`. `span` is how many budget instructions the window
+/// stands for in the cell's estimate.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    start: u64,
+    warmup: u64,
+    detail: u64,
+    span: u64,
+}
+
+/// A pending cell's windows, head first, in execution order.
+struct CellPlan {
+    flat: usize,
+    windows: Vec<Window>,
+    /// Adaptive plans only: the stopping target, and the tail span that
+    /// the measured tail windows split evenly.
+    adaptive: Option<(f64, u64)>,
+}
+
+impl CellPlan {
+    /// The `(stats, span)` pairs the cell's estimate folds, for the measured
+    /// prefix of its windows. Each window stands for its own span, except
+    /// that an adaptive cell's measured tail windows split the whole tail
+    /// span evenly (the first `total % m` carry the remainder).
+    fn weighted(&self, measured: &[SimResult]) -> Vec<(SimStats, u64)> {
+        let mut weighted: Vec<(SimStats, u64)> = measured
+            .iter()
+            .zip(&self.windows)
+            .map(|(result, window)| (result.stats.clone(), window.span))
+            .collect();
+        if let (Some((_, total)), Some((_, tail))) = (self.adaptive, weighted.split_first_mut()) {
+            let m = tail.len() as u64;
+            for (i, (_, span)) in (0..).zip(tail) {
+                *span = total / m + u64::from(i < total % m);
+            }
+        }
+        weighted
+    }
 }

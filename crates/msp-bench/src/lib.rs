@@ -39,11 +39,14 @@
 //! An [`Experiment`] carrying a [`SamplingPlan`] estimates its full-budget
 //! statistics from detailed simulation of **short windows**: the trace is
 //! captured with architectural checkpoints (and per-interval basic-block
-//! vectors), each window resumes from its checkpoint
-//! (`Simulator::resume_from`), functionally warms the caches and branch
-//! predictors, measures `detail_len` committed instructions in detail, and
-//! the per-window statistics fold into a [`SampledStats`] mean-IPC
-//! estimate with a relative-error figure. The plan picks the windows:
+//! vectors), a head window runs cold from instruction 0, and every later
+//! window resumes at its checkpoint (`Simulator::resume_warmed`) from a
+//! snapshot of one functional warm trajectory over the whole prefix
+//! (caches and branch predictors), runs a short unmeasured pipeline fill,
+//! measures `detail_len` committed instructions in detail, and the
+//! per-window statistics fold into a [`SampledStats`] mean-IPC estimate
+//! with a relative-error figure. An exact run is the same pipeline with
+//! one cold window spanning the budget. The plan picks the windows:
 //! [`SamplingPlan::Periodic`] measures every interval (SMARTS),
 //! [`SamplingPlan::PhaseAware`] clusters the interval BBVs and measures one
 //! weighted representative per program phase (SimPoint), and

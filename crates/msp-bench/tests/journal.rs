@@ -7,14 +7,15 @@
 //! * a process SIGKILLed at **any** injected fault point of the journal
 //!   commit path (`MSP_BENCH_KILL_POINT`) resumes to a bit-identical
 //!   result, recomputing only the cells whose WAL records never landed —
-//!   the kill matrix walks every site at several occurrence depths;
+//!   the kill matrix walks every site at several occurrence depths, and a
+//!   sampled sweep killed between windows keeps every finished cell;
 //! * a torn WAL tail of *any* length replays exactly the complete record
 //!   prefix and is truncated, never trusted (property-based);
 //! * journal or trace-store directories that cannot be opened degrade to
 //!   warnings and in-memory operation — I/O trouble never fails a sweep.
 
 use msp_bench::journal::{
-    wal_record, KILL_POINTS, KILL_POINT_ENV, KILL_WAL_APPENDED, WAL_FILE_NAME,
+    wal_record, KILL_POINTS, KILL_POINT_ENV, KILL_WAL_APPENDED, KILL_WINDOW_DONE, WAL_FILE_NAME,
 };
 use msp_bench::{Experiment, ExperimentJournal, Lab, LabConfig, ResultSet, SamplingPlan};
 use msp_branch::PredictorKind;
@@ -403,6 +404,59 @@ fn kill_matrix_every_fault_point_resumes_bit_identically() {
             );
         }
     }
+}
+
+/// A sampled sweep killed partway through its windows keeps every cell
+/// whose last window finished. With one worker the cells finish in flat
+/// order, so a kill at a window inside cell k+1 leaves exactly k cells
+/// committed, and the resume recomputes the rest byte-identically.
+#[test]
+fn sampled_kill_mid_windows_keeps_every_finished_cell() {
+    // 2,000 instructions at a 500-instruction interval: the head window
+    // plus windows at 500, 1,000 and 1,500 in every cell.
+    const WINDOWS_PER_CELL: u64 = 4;
+    const FINISHED: u64 = 2;
+    let sampled = |dir: &TempDir| {
+        let mut cmd = msp_lab_cmd(dir);
+        cmd.env("MSP_BENCH_SAMPLE_INTERVAL", "500")
+            .env_remove("MSP_BENCH_SAMPLE_PLAN")
+            .args(["table1", "--sample", "--format", "json"]);
+        cmd
+    };
+    let reference_dir = TempDir::new("window-ref");
+    let reference = sampled(&reference_dir)
+        .env_remove("MSP_BENCH_JOURNAL_DIR")
+        .output()
+        .expect("reference run");
+    assert!(reference.status.success(), "reference run failed");
+
+    let dir = TempDir::new("window-kill");
+    let nth = FINISHED * WINDOWS_PER_CELL + 2;
+    let killed = sampled(&dir)
+        .env(KILL_POINT_ENV, format!("{KILL_WINDOW_DONE}:{nth}"))
+        .arg("--resume")
+        .output()
+        .expect("killed run");
+    assert_killed(killed.status, "kill at a window of the third cell");
+
+    let resumed = sampled(&dir)
+        .args(["--resume", "--verbose"])
+        .output()
+        .expect("resumed run");
+    assert!(
+        resumed.status.success(),
+        "resume failed:\n{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        parse_journal_line(&String::from_utf8_lossy(&resumed.stderr)),
+        (FINISHED, TABLE1_CELLS - FINISHED),
+        "replayed exactly the cells whose windows all finished"
+    );
+    assert_eq!(
+        resumed.stdout, reference.stdout,
+        "resumed output diverged from the reference"
+    );
 }
 
 /// `msp-lab batch` is the same machinery end-to-end: kill a batch run

@@ -284,6 +284,42 @@ fn undefined_rel_stderr_renders_as_na_in_every_format() {
     assert!(!report.render(OutputFormat::Csv).contains("0.00%"));
 }
 
+/// A plan that places no window past the head estimates every cell from
+/// its cold start alone; `msp-lab` warns once on stderr, naming the plan,
+/// budget, interval and head-only cell count, and stays silent when the
+/// interval leaves room for tail windows.
+#[test]
+fn head_only_plans_warn_once_on_stderr() {
+    let stderr = |interval: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_msp-lab"))
+            .env_remove("MSP_BENCH_TRACE_DIR")
+            .env_remove("MSP_BENCH_JOURNAL_DIR")
+            .env_remove("MSP_BENCH_SAMPLE_PLAN")
+            .env("MSP_BENCH_INSTRUCTIONS", "2000")
+            .env("MSP_BENCH_SAMPLE_INTERVAL", interval)
+            .args(["table1", "--sample"])
+            .output()
+            .expect("run msp-lab");
+        assert!(out.status.success(), "msp-lab failed");
+        String::from_utf8(out.stderr).expect("UTF-8 stderr")
+    };
+    let warned = stderr("5000");
+    assert_eq!(
+        warned.matches("warning:").count(),
+        1,
+        "one warning per run:\n{warned}"
+    );
+    assert!(
+        warned.contains(
+            "periodic sampling measures only the head window in 12 of 12 cells \
+             at a 2000-instruction budget with a 5000-instruction interval"
+        ),
+        "{warned}"
+    );
+    let silent = stderr("500");
+    assert!(!silent.contains("warning:"), "{silent}");
+}
+
 /// LRU eviction at a checkpoint-heavy budget: `Trace::footprint_bytes`
 /// accounts every checkpoint's full heap (pages + page-table), so a cache
 /// sized for one-and-a-half such traces must evict on the second insert
