@@ -68,8 +68,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Version written into (and required of) the WAL header, every cell file,
 /// and the [`cell_fingerprint`] preimage — so a format change invalidates
-/// every old record instead of misdecoding it.
-pub const JOURNAL_FORMAT_VERSION: u32 = 1;
+/// every old record instead of misdecoding it. Version 2: a sampled
+/// window that ends the budget inside its interval stands for the clipped
+/// part only, so version-1 estimates of such cells recompute.
+pub const JOURNAL_FORMAT_VERSION: u32 = 2;
 
 /// File name of the write-ahead log inside the journal directory.
 pub const WAL_FILE_NAME: &str = "journal.wal";
@@ -200,8 +202,7 @@ pub fn cell_fingerprint(
     // Rest-pattern-free destructures on purpose: adding a field to any
     // plan variant without fingerprinting it is a compile error here, not
     // a silent replay of stale cells. Tag 1 (periodic) keeps the exact
-    // encoding of the old three-field `SamplingSpec`, so periodic journals
-    // written before the plan redesign still replay.
+    // encoding of the old three-field `SamplingSpec`.
     match sampling {
         None => buf.push(0),
         Some(SamplingPlan::Periodic {

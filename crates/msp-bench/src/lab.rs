@@ -966,8 +966,9 @@ impl Lab {
                     detail: head_len,
                     span: head_len,
                 };
-                // The budget share a window at an interval start stands for.
-                let span_at = |_start: u64| interval;
+                // The budget share a window at an interval start stands for:
+                // its interval, clipped where the budget ends inside it.
+                let span_at = |start: u64| interval.min(instructions - start);
                 // The window at an interval start past the head, clipped to
                 // the budget: `warmup_len` of detailed pipeline fill (it
                 // re-establishes the occupancy no snapshot carries), then

@@ -40,10 +40,11 @@ fn lab(instructions: u64, threads: usize) -> Lab {
 /// checkpoint/warm-state machinery by hand over the same intervals, on
 /// every machine kind: same per-interval statistics, same aggregate, same
 /// estimate. This is the sampled analog of the determinism suite's
-/// lab-vs-private-oracle fence.
+/// lab-vs-private-oracle fence. The second budget ends inside its last
+/// interval: that window is clipped to the budget and stands only for the
+/// part of the interval the budget covers.
 #[test]
 fn lab_sampled_cells_match_manual_resume_simulation() {
-    const BUDGET: u64 = 12_000;
     let (interval, detail_len, warmup_len) = (3_000u64, 1_000u64, 500u64);
     let spec = SamplingPlan::Periodic {
         interval,
@@ -51,83 +52,90 @@ fn lab_sampled_cells_match_manual_resume_simulation() {
         warmup_len,
     };
     let workload = by_name("gzip", Variant::Original).unwrap();
-    let lab = lab(BUDGET, 4);
-    let results = lab.run(
-        &Experiment::new("sampled")
-            .workload(workload.clone())
-            .machines(reference_machines())
-            .predictor(PredictorKind::Gshare)
-            .sampling(spec),
-    );
-    let trace = lab.trace_with_checkpoints(&workload, BUDGET, interval);
-    for (m, machine) in reference_machines().iter().enumerate() {
-        let config = SimConfig::machine(*machine, PredictorKind::Gshare);
-        // The cumulative warm trajectory: absorb the trace from the head,
-        // snapshotting at every interval start ≥ 1.
-        let mut warm = WarmState::for_config(workload.program(), &config);
-        let mut snapshots = Vec::new();
-        for index in 0..BUDGET - interval {
-            warm.absorb(trace.get(index).unwrap());
-            if (index + 1) % interval == 0 {
-                snapshots.push(warm.clone());
+    for budget in [12_000u64, 13_000] {
+        let lab = lab(budget, 4);
+        let results = lab.run(
+            &Experiment::new("sampled")
+                .workload(workload.clone())
+                .machines(reference_machines())
+                .predictor(PredictorKind::Gshare)
+                .sampling(spec),
+        );
+        let trace = lab.trace_with_checkpoints(&workload, budget, interval);
+        for (m, machine) in reference_machines().iter().enumerate() {
+            let config = SimConfig::machine(*machine, PredictorKind::Gshare);
+            // The cumulative warm trajectory: absorb the trace from the
+            // head, snapshotting at every interval start ≥ 1.
+            let mut warm = WarmState::for_config(workload.program(), &config);
+            let mut snapshots = Vec::new();
+            for index in 0..(budget - 1) / interval * interval {
+                warm.absorb(trace.get(index).unwrap());
+                if (index + 1) % interval == 0 {
+                    snapshots.push(warm.clone());
+                }
             }
-        }
-        let mut per_interval: Vec<(SimStats, u64)> = Vec::new();
-        let mut aggregate = SimStats::default();
-        let head_len = (interval / 3).max(detail_len);
-        let mut start = 0;
-        while start < BUDGET {
-            // The head stratum measures `max(interval/3, detail_len)`
-            // exactly from a cold machine; later intervals run
-            // `warmup_len` of detailed pipeline fill from their warm
-            // snapshot (excluded from measurement), then measure
-            // `detail_len`.
-            let (stats, span) = if start == 0 {
-                (
-                    Simulator::resume_from(
+            let mut per_interval: Vec<(SimStats, u64)> = Vec::new();
+            let mut aggregate = SimStats::default();
+            let head_len = (interval / 3).max(detail_len);
+            let mut start = 0;
+            while start < budget {
+                // The head stratum measures `max(interval/3, detail_len)`
+                // exactly from a cold machine; later intervals run
+                // `warmup_len` of detailed pipeline fill from their warm
+                // snapshot (excluded from measurement), then measure
+                // `detail_len`, all clipped to the budget.
+                let (stats, span) = if start == 0 {
+                    (
+                        Simulator::resume_from(
+                            workload.program(),
+                            config.clone(),
+                            Arc::clone(&trace),
+                            0,
+                            0,
+                        )
+                        .run(head_len)
+                        .stats,
+                        head_len,
+                    )
+                } else {
+                    let left = budget - start;
+                    let warmup = warmup_len.min(left);
+                    let snapshot = snapshots[(start / interval) as usize - 1].clone();
+                    let mut sim = Simulator::resume_warmed(
                         workload.program(),
                         config.clone(),
                         Arc::clone(&trace),
-                        0,
-                        0,
+                        start,
+                        snapshot,
+                    );
+                    sim.run(warmup);
+                    let prefix = sim.stats().clone();
+                    (
+                        sim.run(prefix.committed + detail_len.min(left - warmup))
+                            .stats
+                            .subtracting(&prefix),
+                        interval.min(left),
                     )
-                    .run(head_len)
-                    .stats,
-                    head_len,
-                )
-            } else {
-                let snapshot = snapshots[(start / interval) as usize - 1].clone();
-                let mut sim = Simulator::resume_warmed(
-                    workload.program(),
-                    config.clone(),
-                    Arc::clone(&trace),
-                    start,
-                    snapshot,
-                );
-                sim.run(warmup_len);
-                let prefix = sim.stats().clone();
-                (
-                    sim.run(prefix.committed + detail_len)
-                        .stats
-                        .subtracting(&prefix),
-                    interval,
-                )
-            };
-            aggregate.accumulate(&stats);
-            per_interval.push((stats, span));
-            start += interval;
+                };
+                aggregate.accumulate(&stats);
+                per_interval.push((stats, span));
+                start += interval;
+            }
+            let cell = results.get(0, m, 0, 0);
+            assert_eq!(
+                cell.result.stats, aggregate,
+                "{machine:?} at {budget}: Lab aggregate must equal manual resume_from runs"
+            );
+            assert_eq!(
+                cell.sampled.as_ref().unwrap(),
+                &SampledStats::from_intervals(&per_interval),
+                "{machine:?} at {budget}: Lab estimate must equal the manual aggregation"
+            );
+            assert_eq!(
+                cell.sampled.as_ref().unwrap().intervals as u64,
+                budget.div_ceil(interval)
+            );
         }
-        let cell = results.get(0, m, 0, 0);
-        assert_eq!(
-            cell.result.stats, aggregate,
-            "{machine:?}: Lab aggregate must equal manual resume_from runs"
-        );
-        assert_eq!(
-            cell.sampled.as_ref().unwrap(),
-            &SampledStats::from_intervals(&per_interval),
-            "{machine:?}: Lab estimate must equal the manual aggregation"
-        );
-        assert_eq!(cell.sampled.as_ref().unwrap().intervals, 4);
     }
 }
 
