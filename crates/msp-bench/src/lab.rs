@@ -942,12 +942,7 @@ impl Lab {
                 .iter()
                 .map(|&flat| CellPlan {
                     flat,
-                    windows: vec![Window {
-                        start: 0,
-                        warmup: 0,
-                        detail: instructions,
-                        span: instructions,
-                    }],
+                    windows: vec![Window::cold(instructions)],
                     adaptive: None,
                 })
                 .collect(),
@@ -959,13 +954,7 @@ impl Lab {
                 // that transient at a fraction of a full interval's detailed
                 // cost; a full-detail plan (detail == interval) keeps
                 // complete coverage.
-                let head_len = (interval / 3).max(detail_len).min(instructions);
-                let head = Window {
-                    start: 0,
-                    warmup: 0,
-                    detail: head_len,
-                    span: head_len,
-                };
+                let head = Window::cold((interval / 3).max(detail_len).min(instructions));
                 // The budget share a window at an interval start stands for:
                 // its interval, clipped where the budget ends inside it.
                 let span_at = |start: u64| interval.min(instructions - start);
@@ -1409,6 +1398,19 @@ struct Window {
     warmup: u64,
     detail: u64,
     span: u64,
+}
+
+impl Window {
+    /// A cold run from the head of the trace, measuring `len` instructions
+    /// and standing for them.
+    fn cold(len: u64) -> Window {
+        Window {
+            start: 0,
+            warmup: 0,
+            detail: len,
+            span: len,
+        }
+    }
 }
 
 /// A pending cell's windows, head first, in execution order.
