@@ -78,9 +78,15 @@ impl CacheStats {
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
+    /// The access tick that last touched the line, or `0` for an invalid
+    /// line: `access` stamps the incremented tick, so every valid line has
+    /// `lru >= 1`.
     lru: u64,
-    valid: bool,
 }
+
+// Two words per line: every cache clone (each warm snapshot holds three
+// caches) copies these.
+const _: () = assert!(std::mem::size_of::<Line>() == 16);
 
 /// A set-associative cache with true-LRU replacement.
 ///
@@ -129,14 +135,7 @@ impl Cache {
             sets,
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: sets.trailing_zeros(),
-            lines: vec![
-                Line {
-                    tag: 0,
-                    lru: 0,
-                    valid: false
-                };
-                sets * config.ways
-            ],
+            lines: vec![Line { tag: 0, lru: 0 }; sets * config.ways],
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -176,14 +175,14 @@ impl Cache {
         let mut victim = 0;
         let mut victim_age = u64::MAX;
         for (way, line) in ways.iter_mut().enumerate() {
-            if line.valid && line.tag == tag {
+            if line.lru != 0 && line.tag == tag {
                 line.lru = self.tick;
                 self.stats.hits += 1;
                 return true;
             }
-            let age = if line.valid { line.lru } else { 0 };
-            if age < victim_age {
-                victim_age = age;
+            // An invalid line's `lru` is 0: the oldest age there is.
+            if line.lru < victim_age {
+                victim_age = line.lru;
                 victim = way;
             }
         }
@@ -191,7 +190,6 @@ impl Cache {
         ways[victim] = Line {
             tag,
             lru: self.tick,
-            valid: true,
         };
         false
     }
@@ -203,13 +201,13 @@ impl Cache {
         let base = set * self.config.ways;
         self.lines[base..base + self.config.ways]
             .iter()
-            .any(|l| l.valid && l.tag == tag)
+            .any(|l| l.lru != 0 && l.tag == tag)
     }
 
     /// Invalidates the whole cache (used between benchmark runs).
     pub fn flush(&mut self) {
         for line in &mut self.lines {
-            line.valid = false;
+            line.lru = 0;
         }
     }
 }
