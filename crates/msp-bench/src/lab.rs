@@ -313,7 +313,7 @@ impl LabConfig {
                     .parse::<f64>()
                     .ok()
                     .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0);
-                parsed.ok_or(LabConfigError {
+                parsed.ok_or_else(|| LabConfigError {
                     var: "MSP_BENCH_SAMPLE_TARGET_STDERR",
                     value: value.to_string(),
                     reason: "must be a number strictly between 0 and 1",

@@ -223,7 +223,7 @@ impl CprMachine {
             .insts
             .iter_mut()
             .find(|i| i.seq == seq)
-            .ok_or(format!("complete of unknown seq {seq}"))?;
+            .ok_or_else(|| format!("complete of unknown seq {seq}"))?;
         if flight.done {
             return Err(format!("double completion of seq {seq}"));
         }
@@ -236,7 +236,7 @@ impl CprMachine {
             .ckpts
             .iter()
             .position(|c| c.branch_seq == seq)
-            .ok_or(format!("mispredict of seq {seq} without a checkpoint"))?;
+            .ok_or_else(|| format!("mispredict of seq {seq} without a checkpoint"))?;
         let ckpt = self.ckpts[k].clone();
         self.mispredicted |= 1 << ckpt.pc;
 

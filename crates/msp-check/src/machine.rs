@@ -505,11 +505,13 @@ impl MspMachine {
         // Every store-queue entry must belong to a surviving store, carry its
         // value and be tagged with its StateId.
         for entry in self.stores.iter() {
-            let flight = self.flight(entry.seq).ok_or(format!(
-                "store queue holds seq {} which is not a surviving instruction \
-                 — a squashed store survived recovery",
-                entry.seq
-            ))?;
+            let flight = self.flight(entry.seq).ok_or_else(|| {
+                format!(
+                    "store queue holds seq {} which is not a surviving instruction \
+                     — a squashed store survived recovery",
+                    entry.seq
+                )
+            })?;
             let ok = matches!(self.config.program[flight.pc], Op::Store { addr, .. }
                 if addr == entry.addr)
                 && entry.value == flight.value
@@ -581,7 +583,7 @@ impl MspMachine {
             *value = self
                 .ledger
                 .get(src)
-                .ok_or(format!("source {src} unledgered"))?;
+                .ok_or_else(|| format!("source {src} unledgered"))?;
         }
         let src_values = &src_values[..arity];
         let value = match op {
@@ -625,7 +627,7 @@ impl MspMachine {
     fn apply_issue(&mut self, seq: u64) -> Result<(), String> {
         let idx = self
             .flight_mut(seq)
-            .ok_or(format!("issue of unknown seq {seq}"))?;
+            .ok_or_else(|| format!("issue of unknown seq {seq}"))?;
         let (srcs, anchor, slot, allocating) = {
             let f = &self.insts[idx];
             if f.status != Status::Waiting {
@@ -663,7 +665,7 @@ impl MspMachine {
     fn apply_complete(&mut self, seq: u64) -> Result<(), String> {
         let idx = self
             .flight_mut(seq)
-            .ok_or(format!("complete of unknown seq {seq}"))?;
+            .ok_or_else(|| format!("complete of unknown seq {seq}"))?;
         if self.insts[idx].status != Status::Executing {
             return Err(format!("complete of non-executing seq {seq}"));
         }
@@ -689,7 +691,7 @@ impl MspMachine {
         self.apply_complete(seq)?;
         let idx = self
             .flight_mut(seq)
-            .ok_or(format!("mispredict of unknown seq {seq}"))?;
+            .ok_or_else(|| format!("mispredict of unknown seq {seq}"))?;
         let branch = self.insts[idx];
         self.mispredicted |= 1 << branch.pc;
 
@@ -751,10 +753,9 @@ impl MspMachine {
         self.stores
             .drain_committed_with(boundary, &mut |e| drained.push(e));
         for entry in drained {
-            let flight = self.flight(entry.seq).ok_or(format!(
-                "drained store seq {} has no instruction",
-                entry.seq
-            ))?;
+            let flight = self
+                .flight(entry.seq)
+                .ok_or_else(|| format!("drained store seq {} has no instruction", entry.seq))?;
             if flight.status != Status::Done {
                 return Err(format!(
                     "store seq {} drained to memory before it executed — its anchor \

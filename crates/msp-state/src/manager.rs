@@ -977,7 +977,7 @@ impl MspStateManager {
                 best = Some((s, PhysReg::new(bank, slot)));
             }
         }
-        best.map(|(_, p)| p).unwrap_or(PhysReg::new(0, 0))
+        best.map_or_else(|| PhysReg::new(0, 0), |(_, p)| p)
     }
 }
 

@@ -219,7 +219,7 @@ mod random_recovery {
                     let expected = history
                         .iter()
                         .rfind(|(s, hb, _)| *hb == b && *s <= target)
-                        .map_or(initial_value(b), |&(_, _, v)| v);
+                        .map_or_else(|| initial_value(b), |&(_, _, v)| v);
                     let mapping = manager.source_mapping(ArchReg::from_flat_index(b));
                     assert_eq!(
                         ledger[&mapping.phys], expected,
