@@ -56,8 +56,8 @@ use msp_workloads::{Variant, Workload};
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default number of committed instructions per simulation.
 pub const DEFAULT_INSTRUCTIONS: u64 = 20_000;
@@ -548,6 +548,8 @@ pub struct Lab {
     /// not once per cell (a 96-cell sweep on a full disk would otherwise
     /// print 96 identical warnings).
     store_warned: AtomicBool,
+    /// Warm-pass diagnostics over every run of the session.
+    warm: WarmTally,
 }
 
 impl fmt::Debug for Lab {
@@ -598,6 +600,7 @@ impl Lab {
             store,
             journal,
             store_warned: AtomicBool::new(false),
+            warm: WarmTally::default(),
         }
     }
 
@@ -817,6 +820,19 @@ impl Lab {
         self.lock_cache().captures
     }
 
+    /// Number of warm passes this session has run: one per group of
+    /// warm-compatible cells that resumed a window past 0 (diagnostics).
+    pub fn warm_pass_count(&self) -> u64 {
+        self.warm.passes.load(Ordering::Relaxed)
+    }
+
+    /// The most warm trajectories this session has held at once
+    /// (diagnostics). A [`Lab::run`] holds the trajectories of at most as
+    /// many workloads as it has worker threads.
+    pub fn peak_trajectory_count(&self) -> usize {
+        self.warm.peak.load(Ordering::Relaxed)
+    }
+
     /// Number of traces evicted by the byte budget (diagnostics).
     pub fn eviction_count(&self) -> u64 {
         self.lock_cache().evictions
@@ -885,10 +901,15 @@ impl Lab {
     /// carrying a [`SamplingPlan`] runs **sampled**: a cold head window,
     /// then windows that resume at the trace's checkpoints from snapshots
     /// of a functional warm trajectory (`Simulator::resume_warmed`), folded
-    /// into the cell's [`SampledStats`] estimate. The plan decides where
-    /// the windows go: one per interval ([`SamplingPlan::Periodic`]), one
-    /// per clustered program phase ([`SamplingPlan::PhaseAware`]), or
-    /// incrementally until a target confidence ([`SamplingPlan::Adaptive`]).
+    /// into the cell's [`SampledStats`] estimate. Cells configured alike
+    /// for warming share a trajectory; it is warmed by the first work unit
+    /// that resumes one of its windows and dropped when the last such unit
+    /// finishes, so the run holds the trajectories of at most as many
+    /// workloads as it has workers ([`Lab::peak_trajectory_count`]). The
+    /// plan decides where the windows go: one per interval
+    /// ([`SamplingPlan::Periodic`]), one per clustered program phase
+    /// ([`SamplingPlan::PhaseAware`]), or incrementally until a target
+    /// confidence ([`SamplingPlan::Adaptive`]).
     ///
     /// # Panics
     ///
@@ -933,8 +954,7 @@ impl Lab {
                 .as_ref()
                 .expect("pending workload resolved")
         };
-        let (snapshots, group_of_flat) =
-            self.warm_trajectories(&sweep, &pending, &traces, interval);
+        let (trajectories, group_of_flat) = group_trajectories(&sweep, &pending, interval);
 
         // Plan: each pending cell's windows, head first.
         let plans: Vec<CellPlan> = match plan {
@@ -973,16 +993,15 @@ impl Lab {
                     }
                 };
                 // A cell's interval starts past the head that are backed by
-                // a trace checkpoint and a warm snapshot. A missing one means
-                // the program ended before that start.
+                // a trace checkpoint. A missing one means the program ended
+                // before that start. A checkpoint at `k` is recorded only
+                // with record `k`, so the warm pass reaches every listed
+                // start and each has a snapshot.
                 let tail_starts = |flat: usize| -> Vec<u64> {
                     (1..)
                         .map(|k| k * interval)
                         .take_while(|&start| {
-                            start < instructions
-                                && trace_of(flat).has_checkpoint_at(start)
-                                && snapshots[group_of_flat[flat]].len()
-                                    >= (start / interval) as usize
+                            start < instructions && trace_of(flat).has_checkpoint_at(start)
                         })
                         .collect()
                 };
@@ -1072,7 +1091,8 @@ impl Lab {
         // Execute. One window function for every plan: a window at 0 is a
         // cold run, which needs no checkpoint (`Simulator::with_trace` is
         // pinned bit-identical to `resume_from(trace, 0, 0)`); a window past
-        // 0 resumes at its checkpoint from its warm snapshot.
+        // 0 resumes at its checkpoint from its warm snapshot, warming the
+        // cell's trajectory if no earlier unit has.
         let simulate = |flat: usize, window: &Window| -> SimResult {
             let (w, ..) = axes.coordinates(flat);
             let program = axes.workloads[w].program();
@@ -1081,9 +1101,12 @@ impl Lab {
             if window.start == 0 {
                 return Simulator::with_trace(program, config, source).run(window.detail);
             }
-            let snapshot = &snapshots[group_of_flat[flat]][(window.start / interval) as usize - 1];
-            let mut sim =
-                Simulator::resume_warmed(program, config, source, window.start, snapshot.clone());
+            let snapshot = trajectories[group_of_flat[flat]]
+                .snapshots(&sweep, trace_of(flat), interval, &self.warm)
+                .get((window.start / interval) as usize - 1)
+                .expect("a checkpointed start has a warm snapshot")
+                .clone();
+            let mut sim = Simulator::resume_warmed(program, config, source, window.start, snapshot);
             if window.warmup == 0 {
                 return sim.run(window.detail);
             }
@@ -1103,6 +1126,10 @@ impl Lab {
         // runs its windows in order until its stop rule fires, so it is one
         // unit, as is an exact cell's single window. Per cell, `progress`
         // counts the units still running and collects the measured windows.
+        // Per trajectory, `users` counts the units with a window past 0; the
+        // last of them to finish drops the snapshots. Units of one workload
+        // are contiguous, so at most `threads` workloads' trajectories are
+        // alive at once.
         let mut units: Vec<(usize, Range<usize>)> = Vec::new();
         let mut progress: Vec<Mutex<(usize, Vec<Option<SimResult>>)>> = Vec::new();
         for (c, cell) in plans.iter().enumerate() {
@@ -1116,8 +1143,22 @@ impl Lab {
             );
             progress.push(Mutex::new((units.len() - before, vec![None; n])));
         }
-        let folded = parallel_map(self.config.threads, &units, |(c, range)| {
+        let warm_group = |(c, range): &(usize, Range<usize>)| {
             let cell = &plans[*c];
+            let resumes = cell.windows[range.clone()].iter().any(|w| w.start > 0);
+            resumes.then(|| group_of_flat[cell.flat])
+        };
+        for g in units.iter().filter_map(warm_group) {
+            trajectories[g].users.fetch_add(1, Ordering::SeqCst);
+        }
+        let folded = parallel_map(self.config.threads, &units, |unit| {
+            let (c, range) = unit;
+            let cell = &plans[*c];
+            // Released once the windows are done, also if one panics.
+            let user = warm_group(unit).map(|g| TrajectoryUser {
+                trajectory: &trajectories[g],
+                tally: &self.warm,
+            });
             let mut measured = Vec::with_capacity(range.len());
             for window in &cell.windows[range.clone()] {
                 measured.push(simulate(cell.flat, window));
@@ -1129,6 +1170,7 @@ impl Lab {
                     }
                 }
             }
+            drop(user);
             let mut guard = progress[*c].lock().expect("cell progress poisoned");
             let (running, results) = &mut *guard;
             for (slot, result) in results[range.start..].iter_mut().zip(measured) {
@@ -1204,75 +1246,6 @@ impl Lab {
         traces
     }
 
-    /// The cumulative warm trajectories of the pending cells, plus each
-    /// cell's trajectory index (flat order). A bounded warm window
-    /// systematically under-trains slow-converging predictors and large
-    /// working sets, so one functional pass absorbs the trace from the head
-    /// and snapshots at every interval start ≥ 1: snapshot `s` seeds the
-    /// window at `(s + 1) · interval` with the history of its *entire*
-    /// prefix. Cells whose warm structures are configured alike (same
-    /// workload, predictor and memory geometry; in the reference table1
-    /// sweep, all four machines) share one trajectory. Only windows past 0
-    /// resume warm, so a sweep with none — every exact run, and a sampled
-    /// budget within one interval — builds no trajectory.
-    fn warm_trajectories(
-        &self,
-        sweep: &Sweep<'_>,
-        pending: &[usize],
-        traces: &[Option<SharedTrace>],
-        interval: u64,
-    ) -> (Vec<Vec<WarmState>>, Vec<usize>) {
-        let configs = &sweep.configs;
-        // `(workload, first member)` per trajectory.
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        // Replayed cells have no trajectory; nothing indexes theirs.
-        let mut group_of_flat = vec![usize::MAX; configs.len()];
-        if interval > 0 && interval < sweep.instructions {
-            for &flat in pending {
-                let (w, ..) = sweep.axes.coordinates(flat);
-                let alike = |&(gw, first): &(usize, usize)| {
-                    gw == w
-                        && configs[first].predictor == configs[flat].predictor
-                        && configs[first].memory == configs[flat].memory
-                };
-                group_of_flat[flat] = match groups.iter().position(alike) {
-                    Some(g) => g,
-                    None => {
-                        groups.push((w, flat));
-                        groups.len() - 1
-                    }
-                };
-            }
-        }
-        let snapshots = parallel_map(self.config.threads, &groups, |&(w, first)| {
-            // Each warming pass streams through its own source view, so a
-            // disk-resident trace costs one cursor window per group, not a
-            // materialisation.
-            let program = sweep.axes.workloads[w].program();
-            let mut source = traces[w]
-                .as_ref()
-                .expect("grouped workload resolved")
-                .open_source();
-            let mut warm = WarmState::for_config(program, &configs[first]);
-            let mut snapshots = Vec::new();
-            let mut index = 0;
-            let mut start = interval;
-            while start < sweep.instructions {
-                while index < start {
-                    let Some(rec) = source.get(program, index) else {
-                        return snapshots;
-                    };
-                    warm.absorb(rec);
-                    index += 1;
-                }
-                snapshots.push(warm.clone());
-                start += interval;
-            }
-            snapshots
-        });
-        (snapshots, group_of_flat)
-    }
-
     /// Folds a finished cell's measured windows into its [`Cell`] and
     /// journals it. An exact cell is its one window verbatim; a sampled
     /// cell sums its windows and carries their span-weighted
@@ -1346,6 +1319,145 @@ impl Sweep<'_> {
             self.plan,
         )
     }
+}
+
+/// Groups the pending cells of a sampled sweep into warm trajectories, plus
+/// each cell's trajectory index (flat order). Cells whose warm structures
+/// are configured alike (same workload, predictor and memory geometry; in
+/// the reference table1 sweep, all four machines) share one trajectory.
+/// Only windows past 0 resume warm, so a sweep with none — every exact run,
+/// and a sampled budget within one interval — forms no group. Grouping
+/// warms nothing: see [`Trajectory::snapshots`].
+fn group_trajectories(
+    sweep: &Sweep<'_>,
+    pending: &[usize],
+    interval: u64,
+) -> (Vec<Trajectory>, Vec<usize>) {
+    let configs = &sweep.configs;
+    let mut groups: Vec<Trajectory> = Vec::new();
+    // Replayed cells have no trajectory; nothing indexes theirs.
+    let mut group_of_flat = vec![usize::MAX; configs.len()];
+    if interval > 0 && interval < sweep.instructions {
+        for &flat in pending {
+            let (w, ..) = sweep.axes.coordinates(flat);
+            let alike = |group: &Trajectory| {
+                group.workload == w
+                    && configs[group.first].predictor == configs[flat].predictor
+                    && configs[group.first].memory == configs[flat].memory
+            };
+            group_of_flat[flat] = match groups.iter().position(alike) {
+                Some(g) => g,
+                None => {
+                    groups.push(Trajectory {
+                        workload: w,
+                        first: flat,
+                        users: AtomicUsize::new(0),
+                        snapshots: Mutex::new(None),
+                    });
+                    groups.len() - 1
+                }
+            };
+        }
+    }
+    (groups, group_of_flat)
+}
+
+/// The cumulative warm trajectory of a group of warm-compatible cells. A
+/// bounded warm window systematically under-trains slow-converging
+/// predictors and large working sets, so one functional pass absorbs the
+/// trace from the head and snapshots at every interval start ≥ 1: snapshot
+/// `s` seeds the window at `(s + 1) · interval` with the history of its
+/// *entire* prefix. The pass runs when the first work unit needs a
+/// snapshot; the group's later units share it, and the last one to finish
+/// drops the snapshots.
+struct Trajectory {
+    workload: usize,
+    /// The member whose configuration seeds the warm state.
+    first: usize,
+    /// Work units with a window past 0 that have not finished.
+    users: AtomicUsize,
+    snapshots: Mutex<Option<Arc<Vec<WarmState>>>>,
+}
+
+impl Trajectory {
+    /// The snapshots, warmed under the lock if no unit has warmed them
+    /// yet, so concurrent first users wait for one pass.
+    fn snapshots(
+        &self,
+        sweep: &Sweep<'_>,
+        trace: &SharedTrace,
+        interval: u64,
+        tally: &WarmTally,
+    ) -> Arc<Vec<WarmState>> {
+        let mut snapshots = self.snapshots.lock().expect("warm trajectory poisoned");
+        let snapshots = snapshots.get_or_insert_with(|| {
+            let built = Arc::new(self.warm(sweep, trace, interval));
+            tally.passes.fetch_add(1, Ordering::Relaxed);
+            let live = tally.live.fetch_add(1, Ordering::Relaxed) + 1;
+            tally.peak.fetch_max(live, Ordering::Relaxed);
+            built
+        });
+        Arc::clone(snapshots)
+    }
+
+    /// The warm pass: streams the trace through its own source view, so a
+    /// disk-resident trace costs one cursor window, not a materialisation.
+    /// It stops early where the program ends.
+    fn warm(&self, sweep: &Sweep<'_>, trace: &SharedTrace, interval: u64) -> Vec<WarmState> {
+        let program = sweep.axes.workloads[self.workload].program();
+        let mut source = trace.open_source();
+        let mut warm = WarmState::for_config(program, &sweep.configs[self.first]);
+        let mut snapshots = Vec::new();
+        let mut index = 0;
+        let mut start = interval;
+        while start < sweep.instructions {
+            while index < start {
+                let Some(rec) = source.get(program, index) else {
+                    return snapshots;
+                };
+                warm.absorb(rec);
+                index += 1;
+            }
+            snapshots.push(warm.clone());
+            start += interval;
+        }
+        snapshots
+    }
+}
+
+/// A work unit's use of its cell's trajectory. Dropping it ends the use;
+/// the last user's drop frees the snapshots.
+struct TrajectoryUser<'a> {
+    trajectory: &'a Trajectory,
+    tally: &'a WarmTally,
+}
+
+impl Drop for TrajectoryUser<'_> {
+    fn drop(&mut self) {
+        if self.trajectory.users.fetch_sub(1, Ordering::SeqCst) > 1 {
+            return;
+        }
+        // A unit that panicked mid-pass poisoned the lock; release anyway.
+        let mut snapshots = self
+            .trajectory
+            .snapshots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if snapshots.take().is_some() {
+            self.tally.live.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A session's warm-pass diagnostics.
+#[derive(Default)]
+struct WarmTally {
+    /// Warm passes run.
+    passes: AtomicU64,
+    /// Trajectories whose snapshots are held now.
+    live: AtomicUsize,
+    /// The most trajectories held at once.
+    peak: AtomicUsize,
 }
 
 /// SimPoint placement over one workload's tail interval starts: clusters

@@ -42,10 +42,12 @@
 //! vectors), a head window runs cold from instruction 0, and every later
 //! window resumes at its checkpoint (`Simulator::resume_warmed`) from a
 //! snapshot of one functional warm trajectory over the whole prefix
-//! (caches and branch predictors), runs a short unmeasured pipeline fill,
-//! measures `detail_len` committed instructions in detail, and the
-//! per-window statistics fold into a [`SampledStats`] mean-IPC estimate
-//! with a relative-error figure. An exact run is the same pipeline with
+//! (caches and branch predictors; warmed by the first window that needs
+//! it and dropped after the last, so a sweep holds the trajectories of at
+//! most as many workloads as it has workers), runs a short unmeasured
+//! pipeline fill, measures `detail_len` committed instructions in detail,
+//! and the per-window statistics fold into a [`SampledStats`] mean-IPC
+//! estimate with a relative-error figure. An exact run is the same pipeline with
 //! one cold window spanning the budget. The plan picks the windows:
 //! [`SamplingPlan::Periodic`] measures every interval (SMARTS),
 //! [`SamplingPlan::PhaseAware`] clusters the interval BBVs and measures one

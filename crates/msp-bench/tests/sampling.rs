@@ -174,6 +174,50 @@ fn sampled_runs_are_thread_count_invariant() {
     }
 }
 
+/// Warm trajectories live only while their windows run: each group of
+/// warm-compatible cells (here one per workload) is warmed once, by the
+/// first unit that resumes a window past 0, and dropped when its last such
+/// unit finishes. Units run cell-major, so one worker holds one trajectory
+/// at a time and two hold at most two, where warming every workload up
+/// front held all three. Exact runs warm nothing.
+#[test]
+fn warm_trajectories_live_only_while_their_windows_run() {
+    const BUDGET: u64 = 8_000;
+    let spec = Experiment::new("trajectory-bound")
+        .workloads(
+            ["gzip", "vpr", "swim"]
+                .iter()
+                .map(|n| by_name(n, Variant::Original).unwrap()),
+        )
+        .machines([MachineKind::cpr(), MachineKind::msp(16)])
+        .sampling(SamplingPlan::Periodic {
+            interval: 2_000,
+            detail_len: 600,
+            warmup_len: 200,
+        });
+    let (one, two) = (lab(BUDGET, 1), lab(BUDGET, 2));
+    let a = one.run(&spec);
+    let b = two.run(&spec);
+    for cell in a.cells() {
+        assert_eq!(
+            cell.sampled.as_ref().unwrap().intervals,
+            4,
+            "head + 3 tail windows"
+        );
+    }
+    assert_eq!(one.warm_pass_count(), 3, "one pass per workload, 1 worker");
+    assert_eq!(two.warm_pass_count(), 3, "one pass per workload, 2 workers");
+    assert_eq!(one.peak_trajectory_count(), 1);
+    assert!((1..=2).contains(&two.peak_trajectory_count()));
+    assert_eq!(a.cells().len(), b.cells().len());
+    for (left, right) in a.cells().iter().zip(b.cells()) {
+        assert_eq!(left.result.stats, right.result.stats, "1 vs 2 workers");
+        assert_eq!(left.sampled, right.sampled, "1 vs 2 workers estimate");
+    }
+    one.run(&spec.clone().instructions(2_000).sampling_opt(None));
+    assert_eq!(one.warm_pass_count(), 3, "an exact run warms nothing");
+}
+
 /// With `detail_len == interval` and no warm-up, every committed
 /// instruction of the budget is measured in detail exactly once per cell:
 /// the sampled aggregate covers at least the full budget (detailed runs
