@@ -508,27 +508,32 @@ impl SharedTrace {
     }
 
     /// The per-interval basic-block vectors of this trace, for phase
-    /// clustering. Materialised traces carry them; disk traces read the
-    /// stored v2 chunk, and a v1 file (no stored BBVs) derives them with
-    /// one streaming pass over its records — the same
-    /// [`BbvAccumulator`] the capture would have run, so all three routes
-    /// produce identical signatures.
+    /// clustering. Materialised traces carry them and disk traces read the
+    /// stored chunk. The file verified at open, so a failed read is I/O
+    /// trouble: it warns and derives them with one streaming pass over the
+    /// records, through the same [`BbvAccumulator`] the capture ran, so
+    /// every route produces identical signatures.
     fn bbvs(&self, program: &Program, interval: u64) -> Vec<BbvSignature> {
         match self {
             SharedTrace::Memory(trace) => trace.bbvs().to_vec(),
-            SharedTrace::Disk(reader) => {
-                if let Ok(Some(bbvs)) = reader.read_bbvs() {
-                    return bbvs;
+            SharedTrace::Disk(reader) => match reader.read_bbvs() {
+                Ok(bbvs) => bbvs,
+                Err(e) => {
+                    eprintln!(
+                        "msp-bench: failed to read the BBVs of stored trace {} ({e}); \
+                         deriving them from its records",
+                        reader.path().display()
+                    );
+                    let mut acc = BbvAccumulator::new(interval);
+                    let mut source = self.open_source();
+                    let mut index = 0;
+                    while let Some(rec) = source.get(program, index) {
+                        acc.observe(rec);
+                        index += 1;
+                    }
+                    acc.finish()
                 }
-                let mut acc = BbvAccumulator::new(interval);
-                let mut source = self.open_source();
-                let mut index = 0;
-                while let Some(rec) = source.get(program, index) {
-                    acc.observe(rec);
-                    index += 1;
-                }
-                acc.finish()
-            }
+            },
         }
     }
 }

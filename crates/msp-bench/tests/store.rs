@@ -9,6 +9,7 @@
 
 use msp_bench::{Experiment, Lab, LabConfig, SamplingPlan, DEFAULT_TRACE_CACHE_BYTES};
 use msp_branch::PredictorKind;
+use msp_isa::wire::{fnv1a, FNV_OFFSET};
 use msp_pipeline::MachineKind;
 use msp_workloads::{by_name, Variant};
 use std::path::PathBuf;
@@ -118,26 +119,57 @@ fn lab_trace_is_disk_first_and_bit_identical() {
 }
 
 /// A trace file damaged on disk is detected (the format checksums
-/// everything), discarded, and transparently re-captured.
+/// everything), discarded, and transparently re-captured. So is an intact
+/// file of an older format version, whose records the current decoder
+/// cannot read.
 #[test]
 fn corrupt_store_file_is_recaptured() {
     let dir = TempStoreDir::new("corrupt");
     let workload = by_name("gzip", Variant::Original).unwrap();
+    let experiment = Experiment::new("recapture")
+        .workload(workload.clone())
+        .machine(MachineKind::Baseline)
+        .predictor(PredictorKind::Gshare);
 
     let first = store_lab(&dir, 2_000, DEFAULT_TRACE_CACHE_BYTES);
     let original = first.trace(&workload, 2_000);
+    let expected = first.run(&experiment);
+    assert_eq!(first.capture_count(), 1);
     let files: Vec<_> = first.trace_store().unwrap().entries().unwrap();
     assert_eq!(files.len(), 1);
-    let mut bytes = std::fs::read(&files[0].path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    std::fs::write(&files[0].path, &bytes).unwrap();
+    let path = &files[0].path;
 
-    let second = store_lab(&dir, 2_000, DEFAULT_TRACE_CACHE_BYTES);
-    let recaptured = second.trace(&workload, 2_000);
-    assert_eq!(second.disk_hit_count(), 0, "corrupt file must not hit");
-    assert_eq!(second.capture_count(), 1, "corrupt file is re-captured");
-    assert_eq!(original.records(), recaptured.records());
+    for stale_version in [false, true] {
+        let context = if stale_version {
+            "version 2"
+        } else {
+            "corrupt"
+        };
+        let mut bytes = std::fs::read(path).unwrap();
+        if stale_version {
+            bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+            // Refresh the file checksum so only the version field is stale.
+            let checksum_at = bytes.len() - 16;
+            let hash = fnv1a(FNV_OFFSET, &bytes[..checksum_at]);
+            bytes[checksum_at..checksum_at + 8].copy_from_slice(&hash.to_le_bytes());
+        } else {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xff;
+        }
+        std::fs::write(path, &bytes).unwrap();
+
+        let lab = store_lab(&dir, 2_000, DEFAULT_TRACE_CACHE_BYTES);
+        let actual = lab.run(&experiment);
+        assert_eq!(lab.disk_hit_count(), 0, "{context} file must not hit");
+        assert_eq!(lab.capture_count(), 1, "{context} file is re-captured");
+        assert_same_results(&expected, &actual, context);
+        assert_eq!(
+            original.records(),
+            lab.trace(&workload, 2_000).records(),
+            "{context}"
+        );
+        assert_eq!(lab.capture_count(), 1, "{context}: one capture serves both");
+    }
 }
 
 /// Forcing the streaming tier (a zero-byte memory budget makes every trace
@@ -186,7 +218,7 @@ fn streaming_runs_are_bit_identical_to_materialised_runs() {
 }
 
 /// The acceptance-criterion budget: a 20M-instruction run — whose
-/// materialised trace (~2.2 GiB) cannot fit the default 256 MiB memory
+/// materialised trace (~1.3 GiB) cannot fit the default 256 MiB memory
 /// tier — completes through the streaming cursor with the memory tier
 /// never exceeding its bound. Release-only (`--include-ignored` in CI's
 /// bench-smoke job): the capture plus simulation take minutes in debug.

@@ -34,9 +34,10 @@ impl Error for ExecError {}
 
 /// Record of one dynamically executed instruction.
 ///
-/// This carries everything the timing simulator needs: the resolved
-/// control-flow outcome, the effective address of memory operations, and the
-/// value written to the destination register.
+/// A record carries what the timing simulator reads: the resolved
+/// control-flow outcome and the effective address of a memory operation.
+/// Result values are not recorded. [`execute_step`] commits them to the
+/// [`ArchState`], and no timing structure depends on them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutedInst {
     /// Address the instruction was fetched from.
@@ -49,13 +50,13 @@ pub struct ExecutedInst {
     pub taken: bool,
     /// Effective address of a load or store.
     pub mem_addr: Option<u64>,
-    /// Bit pattern written to the destination register, if any.
-    pub dest_value: Option<u64>,
-    /// Bit pattern written to memory by a store, if any.
-    pub store_value: Option<u64>,
     /// Whether this instruction halted the program.
     pub halted: bool,
 }
+
+// The Lab's trace-streaming threshold and `Trace::footprint_bytes` are
+// computed from this size.
+const _: () = assert!(std::mem::size_of::<ExecutedInst>() == 72);
 
 impl ExecutedInst {
     /// Destination logical register, if the instruction allocates one.
@@ -80,12 +81,19 @@ fn eval_cond(cond: BranchCond, a: u64, b: u64) -> bool {
     }
 }
 
-fn execute_core(
-    state: &mut ArchState,
-    program: &Program,
-    pc: u64,
-    commit: bool,
-) -> Result<ExecutedInst, ExecError> {
+/// Functionally executes the instruction at the current PC, committing its
+/// effects (registers, memory, PC) to `state`.
+///
+/// # Errors
+///
+/// Returns [`ExecError::Halted`] if the program already halted, or
+/// [`ExecError::OutOfRange`] if the PC left the text segment (which indicates
+/// a malformed program — well-formed workloads end in a `halt`).
+pub fn execute_step(state: &mut ArchState, program: &Program) -> Result<ExecutedInst, ExecError> {
+    if state.is_halted() {
+        return Err(ExecError::Halted);
+    }
+    let pc = state.pc();
     let inst = program.fetch(pc).ok_or(ExecError::OutOfRange(pc))?;
     let fallthrough = pc.wrapping_add(4);
 
@@ -98,55 +106,55 @@ fn execute_core(
         next_pc: fallthrough,
         taken: false,
         mem_addr: None,
-        dest_value: None,
-        store_value: None,
         halted: false,
     };
+    let mut dest_value = None;
+    let mut store_value = None;
 
     let s1 = inst.src1();
     let s2 = inst.src2();
 
     match inst.opcode() {
-        Opcode::Add => rec.dest_value = Some(ri(s1).wrapping_add(ri(s2))),
-        Opcode::Sub => rec.dest_value = Some(ri(s1).wrapping_sub(ri(s2))),
-        Opcode::And => rec.dest_value = Some(ri(s1) & ri(s2)),
-        Opcode::Or => rec.dest_value = Some(ri(s1) | ri(s2)),
-        Opcode::Xor => rec.dest_value = Some(ri(s1) ^ ri(s2)),
-        Opcode::Sll => rec.dest_value = Some(ri(s1).wrapping_shl((ri(s2) & 63) as u32)),
-        Opcode::Srl => rec.dest_value = Some(ri(s1).wrapping_shr((ri(s2) & 63) as u32)),
-        Opcode::Slt => rec.dest_value = Some(u64::from((ri(s1) as i64) < (ri(s2) as i64))),
-        Opcode::AddI => rec.dest_value = Some(ri(s1).wrapping_add(inst.imm() as u64)),
-        Opcode::AndI => rec.dest_value = Some(ri(s1) & inst.imm() as u64),
-        Opcode::OrI => rec.dest_value = Some(ri(s1) | inst.imm() as u64),
-        Opcode::XorI => rec.dest_value = Some(ri(s1) ^ inst.imm() as u64),
-        Opcode::SllI => rec.dest_value = Some(ri(s1).wrapping_shl((inst.imm() & 63) as u32)),
-        Opcode::SrlI => rec.dest_value = Some(ri(s1).wrapping_shr((inst.imm() & 63) as u32)),
-        Opcode::SltI => rec.dest_value = Some(u64::from((ri(s1) as i64) < inst.imm())),
-        Opcode::Mul => rec.dest_value = Some(ri(s1).wrapping_mul(ri(s2))),
+        Opcode::Add => dest_value = Some(ri(s1).wrapping_add(ri(s2))),
+        Opcode::Sub => dest_value = Some(ri(s1).wrapping_sub(ri(s2))),
+        Opcode::And => dest_value = Some(ri(s1) & ri(s2)),
+        Opcode::Or => dest_value = Some(ri(s1) | ri(s2)),
+        Opcode::Xor => dest_value = Some(ri(s1) ^ ri(s2)),
+        Opcode::Sll => dest_value = Some(ri(s1).wrapping_shl((ri(s2) & 63) as u32)),
+        Opcode::Srl => dest_value = Some(ri(s1).wrapping_shr((ri(s2) & 63) as u32)),
+        Opcode::Slt => dest_value = Some(u64::from((ri(s1) as i64) < (ri(s2) as i64))),
+        Opcode::AddI => dest_value = Some(ri(s1).wrapping_add(inst.imm() as u64)),
+        Opcode::AndI => dest_value = Some(ri(s1) & inst.imm() as u64),
+        Opcode::OrI => dest_value = Some(ri(s1) | inst.imm() as u64),
+        Opcode::XorI => dest_value = Some(ri(s1) ^ inst.imm() as u64),
+        Opcode::SllI => dest_value = Some(ri(s1).wrapping_shl((inst.imm() & 63) as u32)),
+        Opcode::SrlI => dest_value = Some(ri(s1).wrapping_shr((inst.imm() & 63) as u32)),
+        Opcode::SltI => dest_value = Some(u64::from((ri(s1) as i64) < inst.imm())),
+        Opcode::Mul => dest_value = Some(ri(s1).wrapping_mul(ri(s2))),
         Opcode::Div => {
             let d = ri(s2);
-            rec.dest_value = Some(if d == 0 { 0 } else { ri(s1).wrapping_div(d) });
+            dest_value = Some(if d == 0 { 0 } else { ri(s1).wrapping_div(d) });
         }
-        Opcode::FAdd => rec.dest_value = Some((rf(s1) + rf(s2)).to_bits()),
-        Opcode::FSub => rec.dest_value = Some((rf(s1) - rf(s2)).to_bits()),
-        Opcode::FMul => rec.dest_value = Some((rf(s1) * rf(s2)).to_bits()),
+        Opcode::FAdd => dest_value = Some((rf(s1) + rf(s2)).to_bits()),
+        Opcode::FSub => dest_value = Some((rf(s1) - rf(s2)).to_bits()),
+        Opcode::FMul => dest_value = Some((rf(s1) * rf(s2)).to_bits()),
         Opcode::FDiv => {
             let d = rf(s2);
             let v = if d == 0.0 { 0.0 } else { rf(s1) / d };
-            rec.dest_value = Some(v.to_bits());
+            dest_value = Some(v.to_bits());
         }
-        Opcode::FCmpLt => rec.dest_value = Some(u64::from(rf(s1) < rf(s2))),
-        Opcode::CvtIntFp => rec.dest_value = Some((ri(s1) as i64 as f64).to_bits()),
-        Opcode::CvtFpInt => rec.dest_value = Some(rf(s1) as i64 as u64),
+        Opcode::FCmpLt => dest_value = Some(u64::from(rf(s1) < rf(s2))),
+        Opcode::CvtIntFp => dest_value = Some((ri(s1) as i64 as f64).to_bits()),
+        Opcode::CvtFpInt => dest_value = Some(rf(s1) as i64 as u64),
         Opcode::Load => {
             let addr = ri(s1).wrapping_add(inst.imm() as u64);
             rec.mem_addr = Some(addr);
-            rec.dest_value = Some(state.memory().read_le(addr, inst.width().bytes()));
+            dest_value = Some(state.memory().read_le(addr, inst.width().bytes()));
         }
         Opcode::Store => {
             let addr = ri(s1).wrapping_add(inst.imm() as u64);
             rec.mem_addr = Some(addr);
-            rec.store_value = Some(ri(s2));
+            store_value = Some(ri(s2));
         }
         Opcode::Branch(cond) => {
             rec.taken = eval_cond(cond, ri(s1), ri(s2));
@@ -164,7 +172,7 @@ fn execute_core(
         }
         Opcode::Call => {
             rec.taken = true;
-            rec.dest_value = Some(fallthrough);
+            dest_value = Some(fallthrough);
             rec.next_pc = inst.target().expect("calls carry a target");
         }
         Opcode::Nop => {}
@@ -174,62 +182,23 @@ fn execute_core(
         }
     }
 
-    // Writes to the zero register are architecturally discarded.
-    if inst.dest().is_none() {
-        rec.dest_value = None;
+    // Writes to the zero register are architecturally discarded: `dest()`
+    // is `None` for them.
+    if let (Some(dest), Some(value)) = (inst.dest(), dest_value) {
+        state.write_reg_bits(dest, value);
     }
-
-    if commit {
-        if let (Some(dest), Some(value)) = (inst.dest(), rec.dest_value) {
-            state.write_reg_bits(dest, value);
-        }
-        if let (Some(addr), Some(value)) = (rec.mem_addr, rec.store_value) {
-            state
-                .memory_mut()
-                .write_le(addr, value, inst.width().bytes());
-        }
-        state.set_pc(rec.next_pc);
-        state.count_retired();
-        if rec.halted {
-            state.set_halted();
-        }
+    if let (Some(addr), Some(value)) = (rec.mem_addr, store_value) {
+        state
+            .memory_mut()
+            .write_le(addr, value, inst.width().bytes());
+    }
+    state.set_pc(rec.next_pc);
+    state.count_retired();
+    if rec.halted {
+        state.set_halted();
     }
 
     Ok(rec)
-}
-
-/// Functionally executes the instruction at the current PC, committing its
-/// effects (registers, memory, PC) to `state`.
-///
-/// # Errors
-///
-/// Returns [`ExecError::Halted`] if the program already halted, or
-/// [`ExecError::OutOfRange`] if the PC left the text segment (which indicates
-/// a malformed program — well-formed workloads end in a `halt`).
-pub fn execute_step(state: &mut ArchState, program: &Program) -> Result<ExecutedInst, ExecError> {
-    if state.is_halted() {
-        return Err(ExecError::Halted);
-    }
-    let pc = state.pc();
-    execute_core(state, program, pc, true)
-}
-
-/// Functionally evaluates the instruction at `pc` against `state` **without**
-/// committing any effect. Useful for inspecting what an instruction would do
-/// (tests, debuggers, oracle peeking).
-///
-/// # Errors
-///
-/// Returns [`ExecError::OutOfRange`] if `pc` is outside the text segment.
-pub fn execute_at(
-    state: &ArchState,
-    program: &Program,
-    pc: u64,
-) -> Result<ExecutedInst, ExecError> {
-    // `execute_core` only mutates state when `commit` is true, so the clone is
-    // cheap-ish and keeps the public signature immutable.
-    let mut scratch = state.clone();
-    execute_core(&mut scratch, program, pc, false)
 }
 
 #[cfg(test)]
@@ -287,7 +256,7 @@ mod tests {
         assert_eq!(state.read_int(3), 42);
         assert_eq!(state.memory().read_u64(0x8008), 42);
         assert_eq!(trace[1].mem_addr, Some(0x8000));
-        assert_eq!(trace[3].store_value, Some(42));
+        assert_eq!(trace[3].mem_addr, Some(0x8008));
     }
 
     #[test]
@@ -325,7 +294,7 @@ mod tests {
         let (state, trace) = run_to_halt(&p, 10);
         assert_eq!(state.read_int(5), 1);
         assert_eq!(state.read_int(6), 2);
-        assert_eq!(trace[0].dest_value, Some(crate::TEXT_BASE + 4));
+        assert_eq!(state.read_int(31), crate::TEXT_BASE + 4);
         assert!(trace[0].taken);
         assert_eq!(trace.len(), 5);
     }
@@ -380,19 +349,6 @@ mod tests {
             execute_step(&mut state, &p),
             Err(ExecError::OutOfRange(0x9999_0000))
         );
-    }
-
-    #[test]
-    fn execute_at_does_not_commit() {
-        let p = Program::new(vec![
-            Instruction::li(ArchReg::int(1), 5),
-            Instruction::halt(),
-        ]);
-        let state = ArchState::new(&p);
-        let rec = execute_at(&state, &p, p.entry()).unwrap();
-        assert_eq!(rec.dest_value, Some(5));
-        assert_eq!(state.read_int(1), 0);
-        assert_eq!(state.retired(), 0);
     }
 
     #[test]

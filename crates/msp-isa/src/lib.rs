@@ -27,9 +27,9 @@
 //! ]);
 //! let mut state = ArchState::new(&prog);
 //! let first = execute_step(&mut state, &prog).expect("in range");
-//! assert_eq!(first.dest_value, Some(7));
-//! let second = execute_step(&mut state, &prog).expect("in range");
-//! assert_eq!(second.dest_value, Some(14));
+//! assert_eq!(first.next_pc, first.pc + 4);
+//! assert_eq!(state.read_int(1), 7);
+//! execute_step(&mut state, &prog).expect("in range");
 //! assert_eq!(state.read_int(2), 14);
 //! ```
 
@@ -46,7 +46,7 @@ mod trace;
 mod tracefile;
 pub mod wire;
 
-pub use exec::{execute_at, execute_step, ExecError, ExecutedInst};
+pub use exec::{execute_step, ExecError, ExecutedInst};
 pub use inst::{BranchCond, FuClass, Instruction, MemWidth, Opcode};
 pub use memory::Memory;
 pub use program::{Program, TEXT_BASE};

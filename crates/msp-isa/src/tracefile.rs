@@ -9,7 +9,7 @@
 //! which decodes one block at a time into a small reusable window — the path
 //! that lets a simulation iterate a trace far larger than RAM.
 //!
-//! # Format (version 2)
+//! # Format (version 3)
 //!
 //! All integers are little-endian; `varint` is LEB128 with 7 payload bits per
 //! byte.
@@ -21,18 +21,17 @@
 //! ckpts    (...)   one LZ-compressed chunk per architectural checkpoint
 //! end      (...)   one LZ-compressed chunk holding the end state
 //! bbvs     (...)   one LZ-compressed chunk holding every per-interval
-//!                  basic-block vector (version >= 2 only)
+//!                  basic-block vector
 //! index    (...)   record_count u64, complete u8, block entries,
-//!                  checkpoint entries, end entry, bbv entry (version >= 2)
+//!                  checkpoint entries, end entry, bbv entry
 //!                  (offsets, lengths, per-chunk FNV-1a checksums of the
 //!                  *uncompressed* bytes)
 //! footer   (24 B)  index_offset u64, file checksum u64, magic "MSPTREOF"
 //! ```
 //!
-//! Version 1 files — everything before the BBV chunk existed — remain fully
-//! readable: the reader simply reports no stored BBVs, and
-//! [`TraceReader::read_trace`] re-derives them from the decoded records, so
-//! phase-aware consumers see identical signatures either way.
+//! Only the current version is read: a file of any other version fails
+//! [`TraceReader::open`] with [`TraceFileError::Version`]. A trace store is a
+//! cache, so it captures such a trace again.
 //!
 //! The file checksum is FNV-1a over every byte up to (not including) the
 //! checksum field itself, so any single flipped byte anywhere in the file is
@@ -42,17 +41,18 @@
 //!
 //! Records do not store their instruction: the decoder re-fetches it from the
 //! [`Program`], whose identity is pinned by a stable [`program_fingerprint`]
-//! in the header. Within a block, a record stores only what cannot be derived
-//! from the instruction and the running PC chain — a taken flag for
-//! conditional branches, an indirect target, a zigzag delta-coded effective
-//! address, and result values as varints (byte-swapped for floating-point
-//! bit patterns, whose high bits are the informative ones).
+//! in the header. Within a block, a record stores only what the timing model
+//! reads and cannot derive from the instruction and the running PC chain: a
+//! taken byte for a conditional branch, a varint target for an indirect jump
+//! or return, and a zigzag delta-coded effective address for a load or
+//! store. Every other record costs no bytes at all. Result values are not
+//! stored; checkpoints and the end state carry the architectural state.
 
 use crate::exec::{execute_step, ExecutedInst};
 use crate::inst::{BranchCond, Opcode};
 use crate::memory::{Memory, PAGE_SIZE};
 use crate::program::Program;
-use crate::reg::{RegClass, NUM_FP_REGS, NUM_INT_REGS};
+use crate::reg::{NUM_FP_REGS, NUM_INT_REGS};
 use crate::state::ArchState;
 use crate::trace::{BbvAccumulator, BbvSignature, Trace};
 use std::error::Error;
@@ -62,17 +62,14 @@ use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Version written into every new trace file header. Version 2 added the
-/// basic-block-vector chunk; version 1 files are still read (their BBVs are
-/// derived from the records on demand).
-pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version the reader still accepts.
-pub const MIN_TRACE_FORMAT_VERSION: u32 = 1;
+/// Version written into every new trace file header, and the only one the
+/// reader accepts. Version 2 added the basic-block-vector chunk; version 3
+/// dropped result values from the records.
+pub const TRACE_FORMAT_VERSION: u32 = 3;
 
 /// Default number of records per compressed block.
 ///
-/// At 8192 records a decoded block is ~900 KiB of `ExecutedInst`, and the
+/// At 8192 records a decoded block is ~576 KiB of `ExecutedInst`, and the
 /// cursor's four-slot window comfortably covers the timing simulator's
 /// bounded lookbehind while keeping per-block decode latency small.
 pub const DEFAULT_BLOCK_RECORDS: u32 = 8192;
@@ -116,8 +113,7 @@ impl fmt::Display for TraceFileError {
             TraceFileError::Corrupt(msg) => write!(f, "corrupt trace file: {msg}"),
             TraceFileError::Version { found } => write!(
                 f,
-                "unsupported trace file version {found} \
-                 (supported: {MIN_TRACE_FORMAT_VERSION}..={TRACE_FORMAT_VERSION})"
+                "unsupported trace file version {found} (supported: {TRACE_FORMAT_VERSION})"
             ),
             TraceFileError::ProgramMismatch { file, program } => write!(
                 f,
@@ -325,12 +321,10 @@ pub fn program_fingerprint(program: &Program) -> u64 {
 //
 // Everything not written here is derived at decode time: the instruction from
 // `program.fetch(pc)`, the PC from the previous record's `next_pc` (the first
-// PC of each block lives in the index), `taken`/`halted` from the opcode, and
-// a call's dest value from its fall-through address.
+// PC of each block lives in the index), and `taken`/`halted` from the opcode.
 
 fn encode_record(buf: &mut Vec<u8>, prev_mem: &mut u64, rec: &ExecutedInst) {
-    let inst = rec.inst;
-    match inst.opcode() {
+    match rec.inst.opcode() {
         Opcode::Branch(_) => buf.push(u8::from(rec.taken)),
         Opcode::JumpIndirect | Opcode::Ret => put_varint(buf, rec.next_pc),
         _ => {}
@@ -338,25 +332,6 @@ fn encode_record(buf: &mut Vec<u8>, prev_mem: &mut u64, rec: &ExecutedInst) {
     if let Some(addr) = rec.mem_addr {
         put_varint(buf, zigzag(addr.wrapping_sub(*prev_mem) as i64));
         *prev_mem = addr;
-    }
-    if let Some(dest) = inst.dest() {
-        if !inst.is_call() {
-            let v = rec
-                .dest_value
-                .expect("a non-call instruction with a destination writes a value");
-            let v = if dest.class() == RegClass::Fp {
-                // FP bit patterns carry their information in the high bits;
-                // byte-swapping turns them into short varints.
-                v.swap_bytes()
-            } else {
-                v
-            };
-            put_varint(buf, v);
-        }
-    }
-    if let Some(v) = rec.store_value {
-        let fp = inst.src2().map(|r| r.class()) == Some(RegClass::Fp);
-        put_varint(buf, if fp { v.swap_bytes() } else { v });
     }
 }
 
@@ -406,33 +381,12 @@ fn decode_record(
     } else {
         None
     };
-    let dest_value = match inst.dest() {
-        None => None,
-        Some(_) if inst.is_call() => Some(fallthrough),
-        Some(dest) => {
-            let v = bytes.varint()?;
-            Some(if dest.class() == RegClass::Fp {
-                v.swap_bytes()
-            } else {
-                v
-            })
-        }
-    };
-    let store_value = if inst.is_store() {
-        let v = bytes.varint()?;
-        let fp = inst.src2().map(|r| r.class()) == Some(RegClass::Fp);
-        Some(if fp { v.swap_bytes() } else { v })
-    } else {
-        None
-    };
     Ok(ExecutedInst {
         pc,
         inst,
         next_pc,
         taken,
         mem_addr,
-        dest_value,
-        store_value,
         halted,
     })
 }
@@ -559,19 +513,6 @@ fn decode_bbvs(bytes: &mut Bytes<'_>) -> Result<Vec<BbvSignature>, TraceFileErro
     Ok(bbvs)
 }
 
-/// Derives the per-interval BBVs a version-2 capture would have stored, from
-/// an already-decoded record stream (the version-1 fallback).
-fn derive_bbvs(records: &[ExecutedInst], checkpoint_interval: u64) -> Vec<BbvSignature> {
-    if checkpoint_interval == 0 || records.is_empty() {
-        return Vec::new();
-    }
-    let mut acc = BbvAccumulator::new(checkpoint_interval);
-    for rec in records {
-        acc.observe(rec);
-    }
-    acc.finish()
-}
-
 // ---------------------------------------------------------------------------
 // writer
 // ---------------------------------------------------------------------------
@@ -641,7 +582,6 @@ struct PendingChunk {
 /// can stream a trace arbitrarily larger than RAM straight to disk.
 pub struct TraceWriter {
     out: HashingFile,
-    version: u32,
     block_records: u32,
     record_count: u64,
     blocks: Vec<BlockEntry>,
@@ -678,47 +618,15 @@ impl TraceWriter {
         checkpoint_interval: u64,
         block_records: u32,
     ) -> io::Result<TraceWriter> {
-        TraceWriter::with_format_version(
-            path,
-            program,
-            checkpoint_interval,
-            block_records,
-            TRACE_FORMAT_VERSION,
-        )
-    }
-
-    /// [`TraceWriter::with_block_records`] writing an explicit (older) format
-    /// version. Only compatibility tests should need this — new files always
-    /// use [`TRACE_FORMAT_VERSION`] — but it is the honest way to produce a
-    /// genuine version-1 file and prove the reader still accepts it.
-    /// A version-1 writer silently drops [`TraceWriter::add_bbv`] calls,
-    /// exactly like a version-1 capture that never profiled BBVs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_records` is zero or `version` is unsupported.
-    #[doc(hidden)]
-    pub fn with_format_version(
-        path: impl AsRef<Path>,
-        program: &Program,
-        checkpoint_interval: u64,
-        block_records: u32,
-        version: u32,
-    ) -> io::Result<TraceWriter> {
         assert!(block_records > 0, "block size must be positive");
-        assert!(
-            (MIN_TRACE_FORMAT_VERSION..=TRACE_FORMAT_VERSION).contains(&version),
-            "unsupported trace format version {version}"
-        );
         let mut out = HashingFile::create(path.as_ref())?;
         out.put(MAGIC)?;
-        out.put(&version.to_le_bytes())?;
+        out.put(&TRACE_FORMAT_VERSION.to_le_bytes())?;
         out.put(&block_records.to_le_bytes())?;
         out.put(&program_fingerprint(program).to_le_bytes())?;
         out.put(&checkpoint_interval.to_le_bytes())?;
         Ok(TraceWriter {
             out,
-            version,
             block_records,
             record_count: 0,
             blocks: Vec::new(),
@@ -771,12 +679,9 @@ impl TraceWriter {
 
     /// Buffers the basic-block vector of the *next* interval of appended
     /// records. BBV order must follow interval order, exactly as
-    /// [`crate::BbvAccumulator`] emits them. Ignored (dropped) when writing
-    /// a pre-BBV format version.
+    /// [`crate::BbvAccumulator`] emits them.
     pub fn add_bbv(&mut self, bbv: &BbvSignature) {
-        if self.version >= 2 {
-            self.bbvs.push(bbv.clone());
-        }
+        self.bbvs.push(bbv.clone());
     }
 
     fn flush_block(&mut self) -> io::Result<()> {
@@ -834,23 +739,17 @@ impl TraceWriter {
             checkpoints.push(entry);
         }
         let end = self.write_state_chunk(end_state)?;
-        let bbv_entry = if self.version >= 2 {
-            self.state_buf.clear();
-            let bbvs = std::mem::take(&mut self.bbvs);
-            encode_bbvs(&mut self.state_buf, &bbvs);
-            self.scratch.clear();
-            lz::compress_into(&self.state_buf, &mut self.scratch);
-            let entry = ChunkEntry {
-                offset: self.out.len,
-                comp_len: self.scratch.len() as u32,
-                raw_len: self.state_buf.len() as u32,
-                checksum: fnv1a(FNV_OFFSET, &self.state_buf),
-            };
-            self.out.put(&self.scratch)?;
-            Some(entry)
-        } else {
-            None
+        self.state_buf.clear();
+        encode_bbvs(&mut self.state_buf, &self.bbvs);
+        self.scratch.clear();
+        lz::compress_into(&self.state_buf, &mut self.scratch);
+        let bbv_entry = ChunkEntry {
+            offset: self.out.len,
+            comp_len: self.scratch.len() as u32,
+            raw_len: self.state_buf.len() as u32,
+            checksum: fnv1a(FNV_OFFSET, &self.state_buf),
         };
+        self.out.put(&self.scratch)?;
 
         let put_chunk = |index: &mut Vec<u8>, c: &ChunkEntry| {
             index.extend_from_slice(&c.offset.to_le_bytes());
@@ -875,9 +774,7 @@ impl TraceWriter {
             put_chunk(&mut index, c);
         }
         put_chunk(&mut index, &end);
-        if let Some(entry) = &bbv_entry {
-            put_chunk(&mut index, entry);
-        }
+        put_chunk(&mut index, &bbv_entry);
 
         let index_offset = self.out.len;
         self.out.put(&index)?;
@@ -950,9 +847,7 @@ pub struct TraceReader {
     blocks: Vec<BlockEntry>,
     checkpoints: Vec<ChunkEntry>,
     end: ChunkEntry,
-    /// The stored-BBV chunk; `None` for version-1 files, whose BBVs must be
-    /// derived from the records instead.
-    bbv: Option<ChunkEntry>,
+    bbv: ChunkEntry,
 }
 
 impl TraceReader {
@@ -981,7 +876,7 @@ impl TraceReader {
             return Err(corrupt("bad header magic"));
         }
         let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if !(MIN_TRACE_FORMAT_VERSION..=TRACE_FORMAT_VERSION).contains(&version) {
+        if version != TRACE_FORMAT_VERSION {
             return Err(TraceFileError::Version { found: version });
         }
         let block_records = u32::from_le_bytes(header[12..16].try_into().unwrap());
@@ -1060,13 +955,7 @@ impl TraceReader {
             checkpoints.push(read_chunk_entry(&mut bytes)?);
         }
         let end = read_chunk_entry(&mut bytes)?;
-        // The BBV chunk entry only exists from format version 2 on; parsing
-        // it unconditionally would trip `expect_end` on version-1 files.
-        let bbv = if version >= 2 {
-            Some(read_chunk_entry(&mut bytes)?)
-        } else {
-            None
-        };
+        let bbv = read_chunk_entry(&mut bytes)?;
         bytes.expect_end()?;
 
         if blocks.iter().map(|b| u64::from(b.records)).sum::<u64>() != record_count {
@@ -1075,8 +964,7 @@ impl TraceReader {
         for (offset, comp_len) in blocks.iter().map(|b| (b.offset, b.comp_len)).chain(
             checkpoints
                 .iter()
-                .chain([&end])
-                .chain(bbv.as_ref())
+                .chain([&end, &bbv])
                 .map(|c| (c.offset, c.comp_len)),
         ) {
             if offset < HEADER_LEN as u64 || offset + u64::from(comp_len) > index_offset {
@@ -1160,45 +1048,27 @@ impl TraceReader {
             checkpoints.push(decode_chunk_state(c)?);
         }
         let end_state = decode_chunk_state(&self.end)?;
-        let bbvs = match &self.bbv {
-            Some(entry) => {
-                read_chunk(&mut file, entry, &mut comp, &mut raw)?;
-                let mut bytes = Bytes::new(&raw);
-                let bbvs = decode_bbvs(&mut bytes)?;
-                bytes.expect_end()?;
-                bbvs
-            }
-            // Version-1 file: re-derive what a version-2 capture would have
-            // stored, so in-memory traces look the same either way.
-            None => derive_bbvs(&records, self.meta.checkpoint_interval),
-        };
         Ok(Trace::from_parts(
             records,
             end_state,
             self.meta.complete,
             self.meta.checkpoint_interval,
             checkpoints,
-            bbvs,
+            self.read_bbvs()?,
         ))
     }
 
-    /// Decodes the per-interval basic-block vectors **stored** in the file.
-    /// Returns `None` for version-1 files, which predate BBV storage — the
-    /// caller decides whether to re-derive them by streaming the records
-    /// through a [`crate::BbvAccumulator`] (what [`TraceReader::read_trace`]
-    /// does internally).
-    pub fn read_bbvs(&self) -> Result<Option<Vec<BbvSignature>>, TraceFileError> {
-        let Some(entry) = &self.bbv else {
-            return Ok(None);
-        };
+    /// Decodes the per-interval basic-block vectors stored in the file,
+    /// without decoding any record.
+    pub fn read_bbvs(&self) -> Result<Vec<BbvSignature>, TraceFileError> {
         let mut file = File::open(&self.path)?;
         let mut comp = Vec::new();
         let mut raw = Vec::new();
-        read_chunk(&mut file, entry, &mut comp, &mut raw)?;
+        read_chunk(&mut file, &self.bbv, &mut comp, &mut raw)?;
         let mut bytes = Bytes::new(&raw);
         let bbvs = decode_bbvs(&mut bytes)?;
         bytes.expect_end()?;
-        Ok(Some(bbvs))
+        Ok(bbvs)
     }
 
     /// Opens a streaming [`TraceCursor`] over this file. The reader is shared
@@ -1791,48 +1661,8 @@ mod tests {
         write_trace_to_path(tmp.path(), &p, &trace).unwrap();
         let reader = TraceReader::open(tmp.path(), &p).unwrap();
         assert_eq!(reader.meta().version, TRACE_FORMAT_VERSION);
-        let stored = reader.read_bbvs().unwrap().expect("v2 files store BBVs");
+        let stored = reader.read_bbvs().unwrap();
         assert_eq!(stored.as_slice(), trace.bbvs());
-    }
-
-    #[test]
-    fn version_1_files_are_still_read_with_derived_bbvs() {
-        let p = full_coverage_kernel();
-        let trace = Trace::capture_with_checkpoints(&p, 10_000, 16);
-        let tmp = TempFile::new("v1compat");
-        {
-            let mut writer = TraceWriter::with_format_version(
-                tmp.path(),
-                &p,
-                trace.checkpoint_interval(),
-                DEFAULT_BLOCK_RECORDS,
-                1,
-            )
-            .unwrap();
-            for state in trace.checkpoints() {
-                writer.add_checkpoint(state);
-            }
-            for bbv in trace.bbvs() {
-                writer.add_bbv(bbv); // dropped: v1 has nowhere to put them
-            }
-            for rec in trace.records() {
-                writer.append(rec).unwrap();
-            }
-            writer
-                .finish(trace.end_state(), trace.is_complete())
-                .unwrap();
-        }
-        let reader = TraceReader::open(tmp.path(), &p).unwrap();
-        assert_eq!(reader.meta().version, 1);
-        assert_eq!(
-            reader.read_bbvs().unwrap(),
-            None,
-            "v1 files store no BBV chunk"
-        );
-        // The decoded trace still carries BBVs (derived from the records),
-        // bit-identical to what a v2 capture stores.
-        let decoded = reader.read_trace(&p).unwrap();
-        assert_traces_identical(&trace, &decoded);
     }
 
     #[test]
@@ -1841,18 +1671,56 @@ mod tests {
         let trace = Trace::capture(&p, 100);
         let tmp = TempFile::new("future");
         write_trace_to_path(tmp.path(), &p, &trace).unwrap();
-        let mut bytes = std::fs::read(tmp.path()).unwrap();
-        bytes[8..12].copy_from_slice(&(TRACE_FORMAT_VERSION + 1).to_le_bytes());
-        // Refresh the file checksum so only the version field is at fault.
-        let hash = fnv1a(FNV_OFFSET, &bytes[..bytes.len() - 16]);
-        let checksum_at = bytes.len() - 16;
-        bytes[checksum_at..checksum_at + 8].copy_from_slice(&hash.to_le_bytes());
-        let victim = TempFile::new("future-victim");
-        std::fs::write(victim.path(), &bytes).unwrap();
-        assert!(matches!(
-            TraceReader::open_unchecked(victim.path()),
-            Err(TraceFileError::Version { found }) if found == TRACE_FORMAT_VERSION + 1
-        ));
+        let original = std::fs::read(tmp.path()).unwrap();
+        // A newer file, and a version-2 file, whose records interleave result
+        // values a version-3 decoder cannot skip.
+        for version in [TRACE_FORMAT_VERSION + 1, 2] {
+            let mut bytes = original.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            // Refresh the file checksum so only the version field is at fault.
+            let hash = fnv1a(FNV_OFFSET, &bytes[..bytes.len() - 16]);
+            let checksum_at = bytes.len() - 16;
+            bytes[checksum_at..checksum_at + 8].copy_from_slice(&hash.to_le_bytes());
+            let victim = TempFile::new("future-victim");
+            std::fs::write(victim.path(), &bytes).unwrap();
+            assert!(matches!(
+                TraceReader::open_unchecked(victim.path()),
+                Err(TraceFileError::Version { found }) if found == version
+            ));
+        }
+    }
+
+    #[test]
+    fn a_record_stores_only_its_outcome_and_address() {
+        // What each record costs before LZ: nothing for an ALU op, the taken
+        // byte for a conditional branch, the target varint for an indirect
+        // transfer and only the address-delta varint for a load or store.
+        let p = full_coverage_kernel();
+        let trace = Trace::capture(&p, 10_000);
+        let (mut buf, mut prev_mem) = (Vec::new(), 0u64);
+        let (mut alu, mut branches, mut loads, mut stores) = (0, 0, 0, 0);
+        for rec in trace.records() {
+            let mut expected = Vec::new();
+            if let Some(addr) = rec.mem_addr {
+                put_varint(&mut expected, zigzag(addr.wrapping_sub(prev_mem) as i64));
+                if rec.inst.is_store() {
+                    stores += 1;
+                } else {
+                    loads += 1;
+                }
+            } else if rec.inst.is_conditional_branch() {
+                expected.push(u8::from(rec.taken));
+                branches += 1;
+            } else if rec.inst.is_indirect() {
+                put_varint(&mut expected, rec.next_pc);
+            } else if !rec.inst.is_control() && rec.inst.dest().is_some() {
+                alu += 1;
+            }
+            buf.clear();
+            encode_record(&mut buf, &mut prev_mem, rec);
+            assert_eq!(buf, expected, "record {:?}", rec.inst);
+        }
+        assert!(alu > 0 && branches > 0 && loads > 0 && stores > 0);
     }
 
     #[test]

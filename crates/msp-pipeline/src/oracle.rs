@@ -2,8 +2,8 @@
 //! instructions backed by a shared, immutable [`Trace`].
 //!
 //! The timing simulator is execution-driven: correct-path instructions carry
-//! the values, branch outcomes and effective addresses the functional
-//! executor produced. Because CPR rolls back to checkpoints and re-dispatches
+//! the branch outcomes and effective addresses the functional executor
+//! produced. Because CPR rolls back to checkpoints and re-dispatches
 //! instructions that already executed, the oracle must be *replayable* —
 //! asking for the same dynamic index after a rollback returns the identical
 //! record without re-running the functional model.

@@ -1764,13 +1764,15 @@ impl<'p> Simulator<'p> {
             // Every backend tags stores with the sequence number: commit
             // drains up to a retirement boundary, which for the MSP is the
             // oldest instruction still in the window (see `commit_msp`).
+            // Records carry no values, and a load reads only whether and how
+            // fast a store forwards, so every entry holds value 0.
             let tag = seq;
             self.store_queue.insert(StoreQueueEntry {
                 seq,
                 tag,
                 addr,
                 width: inst.width().bytes(),
-                value: front.rec.store_value.unwrap_or(0),
+                value: 0,
             });
         }
 
@@ -1902,8 +1904,6 @@ impl<'p> Simulator<'p> {
             } else {
                 None
             },
-            dest_value: None,
-            store_value: None,
             halted: false,
         }
     }
