@@ -76,10 +76,10 @@ pub struct EnergyStats {
 
 impl EnergyStats {
     /// Folds one run's statistics through `model`. The counters are
-    /// destructured without a rest pattern — like `SimStats::accumulate` —
-    /// so adding a counter to `ActivityCounters` is a compile error here
-    /// until it is priced (a counter silently excluded from the fold would
-    /// underreport energy with nothing to catch it).
+    /// destructured by name without a rest pattern, so adding a counter to
+    /// `ActivityCounters` is a compile error here until it is priced (a
+    /// counter silently excluded from the fold would underreport energy
+    /// with nothing to catch it).
     pub fn from_stats(stats: &SimStats, model: &EnergyModel) -> EnergyStats {
         let msp_pipeline::ActivityCounters {
             rf_reads: _,

@@ -25,6 +25,11 @@
 //!                          every preceding byte.
 //! ```
 //!
+//! The encoded cell holds its labels, then every `SimStats` counter as one
+//! varint in the order of `SimStats::counters` (bank stalls included, as a
+//! fixed per-register block), then the sampled estimates. That counter
+//! list is the cell format of version 3 ([`JOURNAL_FORMAT_VERSION`]).
+//!
 //! # Commit discipline (the murodb-style WAL rules)
 //!
 //! A cell commits in two ordered durable steps: the result file is written
@@ -51,14 +56,13 @@ use crate::energy::SampledEnergy;
 use crate::experiment::Cell;
 use crate::{SampledStats, SamplingPlan};
 use msp_branch::PredictorKind;
-use msp_isa::wire::{fnv1a, put_varint, FNV_OFFSET};
-use msp_isa::{ArchReg, NUM_LOGICAL_REGS};
+use msp_isa::wire::{fnv1a, put_varint, Reader, FNV_OFFSET};
 use msp_pipeline::{
-    ActivityCounters, CacheConfig, ExecutedBreakdown, FrontendConfig, LatencyConfig, MachineKind,
-    MemoryConfig, ResourceConfig, SimConfig, SimResult, SimStats, StallBreakdown,
+    CacheConfig, FrontendConfig, LatencyConfig, MachineKind, MemoryConfig, ResourceConfig,
+    SimConfig, SimResult, SimStats,
 };
 use msp_workloads::Variant;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -70,8 +74,10 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 /// and the [`cell_fingerprint`] preimage — so a format change invalidates
 /// every old record instead of misdecoding it. Version 2: a sampled
 /// window that ends the budget inside its interval stands for the clipped
-/// part only, so version-1 estimates of such cells recompute.
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+/// part only, so version-1 estimates of such cells recompute. Version 3:
+/// a cell's statistics are every counter of `SimStats::counters` as one
+/// varint each, in that list's order (no sparse bank-stall map).
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// File name of the write-ahead log inside the journal directory.
 pub const WAL_FILE_NAME: &str = "journal.wal";
@@ -769,111 +775,11 @@ fn put_sim_config(buf: &mut Vec<u8>, config: &SimConfig) {
     put_bool(buf, *arbitration);
 }
 
+/// Every counter, in `SimStats::counters` order (see the module docs).
 fn put_sim_stats(buf: &mut Vec<u8>, stats: &SimStats) {
-    // Destructured without rest patterns (see `SimStats::accumulate`): a
-    // new counter is a compile error until the codec carries it — a
-    // silently-dropped counter would make replayed cells non-identical.
-    let SimStats {
-        cycles,
-        committed,
-        executed:
-            ExecutedBreakdown {
-                correct_path,
-                correct_path_reexecuted,
-                wrong_path,
-            },
-        branches,
-        mispredictions,
-        recoveries,
-        imprecise_recoveries,
-        checkpoints_allocated,
-        stalls:
-            StallBreakdown {
-                iq_full,
-                rob_full,
-                lq_full,
-                sq_full,
-                regs_full,
-                checkpoints_full,
-                bank_full,
-                same_reg_limit,
-                frontend_empty,
-            },
-        port_conflicts,
-        store_forwards,
-        dcache_misses,
-        watchdog_breaks,
-        activity,
-    } = stats;
-    put_varint(buf, *cycles);
-    put_varint(buf, *committed);
-    put_varint(buf, *correct_path);
-    put_varint(buf, *correct_path_reexecuted);
-    put_varint(buf, *wrong_path);
-    put_varint(buf, *branches);
-    put_varint(buf, *mispredictions);
-    put_varint(buf, *recoveries);
-    put_varint(buf, *imprecise_recoveries);
-    put_varint(buf, *checkpoints_allocated);
-    put_varint(buf, *iq_full);
-    put_varint(buf, *rob_full);
-    put_varint(buf, *lq_full);
-    put_varint(buf, *sq_full);
-    put_varint(buf, *regs_full);
-    put_varint(buf, *checkpoints_full);
-    // The map is emitted in flat-index order so the encoding is canonical
-    // (HashMap iteration order is not).
-    let mut banks: Vec<(usize, u64)> = bank_full
-        .iter()
-        .map(|(reg, count)| (reg.flat_index(), *count))
-        .collect();
-    banks.sort_unstable();
-    put_usize(buf, banks.len());
-    for (flat, count) in banks {
-        put_usize(buf, flat);
-        put_varint(buf, count);
+    for counter in stats.counters() {
+        put_varint(buf, *counter);
     }
-    put_varint(buf, *same_reg_limit);
-    put_varint(buf, *frontend_empty);
-    put_varint(buf, *port_conflicts);
-    put_varint(buf, *store_forwards);
-    put_varint(buf, *dcache_misses);
-    put_varint(buf, *watchdog_breaks);
-    let ActivityCounters {
-        rf_reads,
-        rf_writes,
-        rename_lookups,
-        sct_lookups,
-        lcs_propagations,
-        checkpoint_allocs,
-        checkpoint_releases,
-        reliq_wakeups,
-        lq_searches,
-        sq_searches,
-        icache_accesses,
-        dcache_accesses,
-        l2_accesses,
-        predictor_lookups,
-        btb_lookups,
-        ras_ops,
-    } = activity.as_ref();
-    for bank in rf_reads.iter().chain(rf_writes) {
-        put_varint(buf, *bank);
-    }
-    put_varint(buf, *rename_lookups);
-    put_varint(buf, *sct_lookups);
-    put_varint(buf, *lcs_propagations);
-    put_varint(buf, *checkpoint_allocs);
-    put_varint(buf, *checkpoint_releases);
-    put_varint(buf, *reliq_wakeups);
-    put_varint(buf, *lq_searches);
-    put_varint(buf, *sq_searches);
-    put_varint(buf, *icache_accesses);
-    put_varint(buf, *dcache_accesses);
-    put_varint(buf, *l2_accesses);
-    put_varint(buf, *predictor_lookups);
-    put_varint(buf, *btb_lookups);
-    put_varint(buf, *ras_ops);
 }
 
 fn put_cell(buf: &mut Vec<u8>, cell: &Cell) {
@@ -942,89 +848,36 @@ fn put_cell(buf: &mut Vec<u8>, cell: &Cell) {
     }
 }
 
-/// Bounds-checked reader over a decoded cell payload.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+// Primitive readers over the shared bounds-checked `Reader`, mirroring the
+// writers above.
+
+fn get_f64(r: &mut Reader<'_>) -> Result<f64, String> {
+    Ok(f64::from_bits(r.u64()?))
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
+fn get_bool(r: &mut Reader<'_>) -> Result<bool, String> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(format!("bad bool tag {t}")),
     }
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let remaining = self.data.len() - self.pos;
-        if remaining < n {
-            return Err(format!(
-                "unexpected end: wanted {n} bytes, {remaining} left"
-            ));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
+fn get_usize(r: &mut Reader<'_>) -> Result<usize, String> {
+    usize::try_from(r.varint()?).map_err(|_| "size overflows usize".to_string())
+}
 
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
+fn get_string(r: &mut Reader<'_>) -> Result<String, String> {
+    let len = get_usize(r)?;
+    let bytes = r.take(len)?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+}
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, String> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            t => Err(format!("bad bool tag {t}")),
-        }
-    }
-
-    fn varint(&mut self) -> Result<u64, String> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err("varint overflows 64 bits".to_string());
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    fn usize_(&mut self) -> Result<usize, String> {
-        usize::try_from(self.varint()?).map_err(|_| "size overflows usize".to_string())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.usize_()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
-    }
-
-    fn opt_string(&mut self) -> Result<Option<String>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string()?)),
-            t => Err(format!("bad option tag {t}")),
-        }
-    }
-
-    fn expect_end(&self) -> Result<(), String> {
-        let remaining = self.data.len() - self.pos;
-        if remaining != 0 {
-            return Err(format!("{remaining} trailing bytes after decoded cell"));
-        }
-        Ok(())
+fn get_opt_string(r: &mut Reader<'_>) -> Result<Option<String>, String> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(get_string(r)?)),
+        t => Err(format!("bad option tag {t}")),
     }
 }
 
@@ -1040,10 +893,10 @@ fn get_machine(r: &mut Reader<'_>) -> Result<MachineKind, String> {
     match r.u8()? {
         0 => Ok(MachineKind::Baseline),
         1 => Ok(MachineKind::Cpr {
-            regs_per_class: r.usize_()?,
+            regs_per_class: get_usize(r)?,
         }),
         2 => Ok(MachineKind::Msp {
-            regs_per_bank: r.usize_()?,
+            regs_per_bank: get_usize(r)?,
         }),
         3 => Ok(MachineKind::IdealMsp),
         t => Err(format!("bad machine tag {t}")),
@@ -1060,118 +913,33 @@ fn get_predictor(r: &mut Reader<'_>) -> Result<PredictorKind, String> {
 }
 
 fn get_sim_stats(r: &mut Reader<'_>) -> Result<SimStats, String> {
-    let cycles = r.varint()?;
-    let committed = r.varint()?;
-    let executed = ExecutedBreakdown {
-        correct_path: r.varint()?,
-        correct_path_reexecuted: r.varint()?,
-        wrong_path: r.varint()?,
-    };
-    let branches = r.varint()?;
-    let mispredictions = r.varint()?;
-    let recoveries = r.varint()?;
-    let imprecise_recoveries = r.varint()?;
-    let checkpoints_allocated = r.varint()?;
-    let iq_full = r.varint()?;
-    let rob_full = r.varint()?;
-    let lq_full = r.varint()?;
-    let sq_full = r.varint()?;
-    let regs_full = r.varint()?;
-    let checkpoints_full = r.varint()?;
-    let bank_count = r.usize_()?;
-    if bank_count > NUM_LOGICAL_REGS {
-        return Err(format!("bank_full has {bank_count} entries"));
+    let mut stats = SimStats::default();
+    for counter in stats.counters_mut() {
+        *counter = r.varint()?;
     }
-    let mut bank_full = HashMap::with_capacity(bank_count);
-    for _ in 0..bank_count {
-        let flat = r.usize_()?;
-        if flat >= NUM_LOGICAL_REGS {
-            return Err(format!("bank_full register index {flat} out of range"));
-        }
-        bank_full.insert(ArchReg::from_flat_index(flat), r.varint()?);
-    }
-    let same_reg_limit = r.varint()?;
-    let frontend_empty = r.varint()?;
-    let port_conflicts = r.varint()?;
-    let store_forwards = r.varint()?;
-    let dcache_misses = r.varint()?;
-    let watchdog_breaks = r.varint()?;
-    let mut rf_reads = [0u64; NUM_LOGICAL_REGS];
-    for bank in rf_reads.iter_mut() {
-        *bank = r.varint()?;
-    }
-    let mut rf_writes = [0u64; NUM_LOGICAL_REGS];
-    for bank in rf_writes.iter_mut() {
-        *bank = r.varint()?;
-    }
-    // A full struct literal (no `..Default::default()`), so a new activity
-    // counter is a compile error here until the decoder reads it.
-    let activity = ActivityCounters {
-        rf_reads,
-        rf_writes,
-        rename_lookups: r.varint()?,
-        sct_lookups: r.varint()?,
-        lcs_propagations: r.varint()?,
-        checkpoint_allocs: r.varint()?,
-        checkpoint_releases: r.varint()?,
-        reliq_wakeups: r.varint()?,
-        lq_searches: r.varint()?,
-        sq_searches: r.varint()?,
-        icache_accesses: r.varint()?,
-        dcache_accesses: r.varint()?,
-        l2_accesses: r.varint()?,
-        predictor_lookups: r.varint()?,
-        btb_lookups: r.varint()?,
-        ras_ops: r.varint()?,
-    };
-    Ok(SimStats {
-        cycles,
-        committed,
-        executed,
-        branches,
-        mispredictions,
-        recoveries,
-        imprecise_recoveries,
-        checkpoints_allocated,
-        stalls: StallBreakdown {
-            iq_full,
-            rob_full,
-            lq_full,
-            sq_full,
-            regs_full,
-            checkpoints_full,
-            bank_full,
-            same_reg_limit,
-            frontend_empty,
-        },
-        port_conflicts,
-        store_forwards,
-        dcache_misses,
-        watchdog_breaks,
-        activity: Box::new(activity),
-    })
+    Ok(stats)
 }
 
 fn get_cell(r: &mut Reader<'_>) -> Result<Cell, String> {
-    let workload = r.string()?;
+    let workload = get_string(r)?;
     let variant = get_variant(r)?;
     let machine = get_machine(r)?;
     let predictor = get_predictor(r)?;
-    let hook = r.opt_string()?;
-    let machine_label = r.string()?;
-    let predictor_label = r.string()?;
-    let truncated_by_watchdog = r.bool()?;
+    let hook = get_opt_string(r)?;
+    let machine_label = get_string(r)?;
+    let predictor_label = get_string(r)?;
+    let truncated_by_watchdog = get_bool(r)?;
     let stats = get_sim_stats(r)?;
     let sampled = match r.u8()? {
         0 => None,
         1 => Some(SampledStats {
-            intervals: r.usize_()?,
+            intervals: get_usize(r)?,
             measured_instructions: r.varint()?,
             measured_cycles: r.varint()?,
-            mean_ipc: r.f64()?,
+            mean_ipc: get_f64(r)?,
             ipc_rel_stderr: match r.u8()? {
                 0 => None,
-                1 => Some(r.f64()?),
+                1 => Some(get_f64(r)?),
                 t => return Err(format!("bad option tag {t}")),
             },
         }),
@@ -1180,10 +948,10 @@ fn get_cell(r: &mut Reader<'_>) -> Result<Cell, String> {
     let sampled_energy = match r.u8()? {
         0 => None,
         1 => Some(SampledEnergy {
-            intervals: r.usize_()?,
-            measured_pj: r.f64()?,
-            mean_epi_pj: r.f64()?,
-            mean_rf_epi_pj: r.f64()?,
+            intervals: get_usize(r)?,
+            measured_pj: get_f64(r)?,
+            mean_epi_pj: get_f64(r)?,
+            mean_rf_epi_pj: get_f64(r)?,
         }),
         t => return Err(format!("bad option tag {t}")),
     };
@@ -1223,21 +991,14 @@ mod tests {
     }
 
     fn sample_cell() -> Cell {
-        let mut stats = SimStats {
-            cycles: 12_345,
-            committed: 20_000,
-            branches: 777,
-            mispredictions: 42,
-            ..SimStats::default()
-        };
-        stats.executed.correct_path = 20_000;
-        stats.executed.wrong_path = 311;
-        stats.stalls.iq_full = 17;
-        stats.stalls.bank_full.insert(ArchReg::int(7), 99);
-        stats.stalls.bank_full.insert(ArchReg::fp(3), 5);
-        stats.activity.rf_reads[7] = 1_234;
-        stats.activity.rf_writes[63] = 9;
-        stats.activity.sct_lookups = 40_001;
+        // Every counter distinct and nonzero, most of them multi-byte
+        // varints and `cycles` the longest one, so the round-trip and
+        // corruption tests cover the whole counter list.
+        let mut stats = SimStats::default();
+        for (i, counter) in (1u64..).zip(stats.counters_mut()) {
+            *counter = i * 97;
+        }
+        stats.cycles = u64::MAX;
         Cell {
             workload: "gzip".to_string(),
             variant: Variant::Original,
@@ -1298,6 +1059,15 @@ mod tests {
 
     #[test]
     fn cell_file_roundtrip_is_bit_identical() {
+        assert_eq!(
+            (
+                JOURNAL_FORMAT_VERSION,
+                SimStats::default().counters().count()
+            ),
+            (3, 228),
+            "the counter list is the cell format: a change to it must bump \
+             JOURNAL_FORMAT_VERSION (and this pin)"
+        );
         let cell = sample_cell();
         let fp = 0xfeed_face_cafe_beef;
         let bytes = encode_cell_file(fp, &cell);
@@ -1322,6 +1092,17 @@ mod tests {
         }
         // A wrong expected fingerprint is rejected even with a valid file.
         assert!(decode_cell_file(fp + 1, &bytes).is_err());
+        // So is a checksum-valid file of the previous format version.
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        let checksum = fnv1a(FNV_OFFSET, &old);
+        put_u64(&mut old, checksum);
+        assert_eq!(
+            decode_cell_file(fp, &old).map(|_| ()),
+            Err(format!(
+                "format version 2 (expected {JOURNAL_FORMAT_VERSION})"
+            ))
+        );
     }
 
     #[test]
@@ -1579,6 +1360,15 @@ mod tests {
             wal_header(),
             "unrecognisable log restarts fresh"
         );
+        // A well-formed log of the previous format version replays nothing:
+        // its cells were encoded in the old format.
+        let mut old = WAL_MAGIC.to_vec();
+        old.extend_from_slice(&2u32.to_le_bytes());
+        old.extend_from_slice(&wal_record(0x5555));
+        fs::write(&wal, &old).unwrap();
+        let journal = ExperimentJournal::open(&dir);
+        assert_eq!(journal.known_count(), 0);
+        assert_eq!(fs::read(&wal).unwrap(), wal_header());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,13 +6,16 @@
 //! detailed-simulation units: the functional trace (already captured once
 //! per workload, now with periodic [`ArchState`](msp_isa::ArchState)
 //! checkpoints *and* per-interval basic-block vectors) is measured in
-//! detail only inside short windows. Each unit resumes from the checkpoint
-//! at its interval start (`Simulator::resume_from`), replays a `warmup_len`
-//! window into the pipeline, then measures `detail_len` committed
-//! instructions with full cycle accounting. [`SampledStats`] folds the
-//! per-window [`SimStats`](msp_pipeline::SimStats) into a mean-IPC
-//! estimate with a relative-error figure, which the `msp-lab` emitters
-//! render alongside exact runs.
+//! detail only inside short windows. The first window runs cold from the
+//! start of the trace. Every later one resumes at the checkpoint of its
+//! interval start with the caches and predictors of a cumulative
+//! functional warm trajectory (`Simulator::resume_warmed`), simulates
+//! `warmup_len` instructions in detail to fill the pipeline, then measures
+//! `detail_len` committed instructions with full cycle accounting.
+//! [`SampledStats`] folds the per-window
+//! [`SimStats`](msp_pipeline::SimStats) into a mean-IPC estimate with a
+//! relative-error figure, which the `msp-lab` emitters render alongside
+//! exact runs.
 //!
 //! The three plans differ in **where** the windows go:
 //!

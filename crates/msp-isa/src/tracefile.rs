@@ -83,7 +83,7 @@ const FOOTER_LEN: usize = 24;
 /// window with room to spare.
 const CURSOR_SLOTS: usize = 4;
 
-use crate::wire::{fnv1a, put_varint, unzigzag, zigzag, FNV_OFFSET};
+use crate::wire::{fnv1a, put_varint, unzigzag, zigzag, Reader, WireError, FNV_OFFSET};
 
 /// Error reading or validating a trace file.
 #[derive(Debug)]
@@ -139,6 +139,12 @@ impl From<io::Error> for TraceFileError {
     }
 }
 
+impl From<WireError> for TraceFileError {
+    fn from(e: WireError) -> Self {
+        corrupt(e.to_string())
+    }
+}
+
 fn corrupt(msg: impl Into<String>) -> TraceFileError {
     TraceFileError::Corrupt(msg.into())
 }
@@ -163,72 +169,6 @@ pub struct TraceFileMeta {
     pub complete: bool,
     /// Total file size in bytes.
     pub file_bytes: u64,
-}
-
-/// Bounds-checked reader over a decoded byte slice.
-struct Bytes<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Bytes<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Bytes { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceFileError> {
-        if self.remaining() < n {
-            return Err(corrupt(format!(
-                "unexpected end of chunk: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, TraceFileError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceFileError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceFileError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn varint(&mut self) -> Result<u64, TraceFileError> {
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8()?;
-            if shift >= 64 {
-                return Err(corrupt("varint overflows 64 bits"));
-            }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    fn expect_end(&self) -> Result<(), TraceFileError> {
-        if self.remaining() != 0 {
-            return Err(corrupt(format!(
-                "{} trailing bytes after decoded payload",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -337,7 +277,7 @@ fn encode_record(buf: &mut Vec<u8>, prev_mem: &mut u64, rec: &ExecutedInst) {
 
 fn decode_record(
     program: &Program,
-    bytes: &mut Bytes<'_>,
+    bytes: &mut Reader<'_>,
     pc: u64,
     prev_mem: &mut u64,
 ) -> Result<ExecutedInst, TraceFileError> {
@@ -398,7 +338,7 @@ fn decode_block(
     records: u32,
     out: &mut Vec<ExecutedInst>,
 ) -> Result<(), TraceFileError> {
-    let mut bytes = Bytes::new(raw);
+    let mut bytes = Reader::new(raw);
     let mut pc = first_pc;
     let mut prev_mem = 0u64;
     out.reserve(records as usize);
@@ -407,7 +347,7 @@ fn decode_block(
         pc = rec.next_pc;
         out.push(rec);
     }
-    bytes.expect_end()
+    Ok(bytes.expect_end()?)
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +374,7 @@ fn encode_state(buf: &mut Vec<u8>, state: &ArchState) {
     }
 }
 
-fn decode_state(bytes: &mut Bytes<'_>) -> Result<ArchState, TraceFileError> {
+fn decode_state(bytes: &mut Reader<'_>) -> Result<ArchState, TraceFileError> {
     let pc = bytes.varint()?;
     let halted = match bytes.u8()? {
         0 => false,
@@ -490,7 +430,7 @@ fn encode_bbvs(buf: &mut Vec<u8>, bbvs: &[BbvSignature]) {
     }
 }
 
-fn decode_bbvs(bytes: &mut Bytes<'_>) -> Result<Vec<BbvSignature>, TraceFileError> {
+fn decode_bbvs(bytes: &mut Reader<'_>) -> Result<Vec<BbvSignature>, TraceFileError> {
     let count = bytes.varint()?;
     let mut bbvs = Vec::with_capacity(count.min(1 << 20) as usize);
     for _ in 0..count {
@@ -922,7 +862,7 @@ impl TraceReader {
         let mut index = vec![0u8; (len - FOOTER_LEN as u64 - index_offset) as usize];
         file.read_exact(&mut index)?;
 
-        let mut bytes = Bytes::new(&index);
+        let mut bytes = Reader::new(&index);
         let record_count = bytes.u64()?;
         let complete = match bytes.u8()? {
             0 => false,
@@ -941,7 +881,7 @@ impl TraceReader {
                 checksum: bytes.u64()?,
             });
         }
-        let read_chunk_entry = |bytes: &mut Bytes<'_>| -> Result<ChunkEntry, TraceFileError> {
+        let read_chunk_entry = |bytes: &mut Reader<'_>| -> Result<ChunkEntry, TraceFileError> {
             Ok(ChunkEntry {
                 offset: bytes.u64()?,
                 comp_len: bytes.u32()?,
@@ -1038,7 +978,7 @@ impl TraceReader {
         }
         let mut decode_chunk_state = |entry: &ChunkEntry| -> Result<ArchState, TraceFileError> {
             read_chunk(&mut file, entry, &mut comp, &mut raw)?;
-            let mut bytes = Bytes::new(&raw);
+            let mut bytes = Reader::new(&raw);
             let state = decode_state(&mut bytes)?;
             bytes.expect_end()?;
             Ok(state)
@@ -1065,7 +1005,7 @@ impl TraceReader {
         let mut comp = Vec::new();
         let mut raw = Vec::new();
         read_chunk(&mut file, &self.bbv, &mut comp, &mut raw)?;
-        let mut bytes = Bytes::new(&raw);
+        let mut bytes = Reader::new(&raw);
         let bbvs = decode_bbvs(&mut bytes)?;
         bytes.expect_end()?;
         Ok(bbvs)
@@ -1177,7 +1117,7 @@ impl TraceCursor {
                 &mut self.raw_buf,
             )
             .and_then(|()| {
-                let mut bytes = Bytes::new(&self.raw_buf);
+                let mut bytes = Reader::new(&self.raw_buf);
                 let state = decode_state(&mut bytes)?;
                 bytes.expect_end()?;
                 Ok(state)
@@ -1209,7 +1149,7 @@ impl TraceCursor {
             &mut self.raw_buf,
         )
         .and_then(|()| {
-            let mut bytes = Bytes::new(&self.raw_buf);
+            let mut bytes = Reader::new(&self.raw_buf);
             let state = decode_state(&mut bytes)?;
             bytes.expect_end()?;
             Ok(state)
@@ -1510,7 +1450,7 @@ mod tests {
         for &v in &values {
             put_varint(&mut buf, v);
         }
-        let mut bytes = Bytes::new(&buf);
+        let mut bytes = Reader::new(&buf);
         for &v in &values {
             assert_eq!(bytes.varint().unwrap(), v);
         }

@@ -1656,7 +1656,7 @@ impl<'p> Simulator<'p> {
                     Err(err) => {
                         match err {
                             msp_state::RenameError::BankFull(reg) => {
-                                *self.stats.stalls.bank_full.entry(reg).or_insert(0) += 1;
+                                self.stats.stalls.bank_full[reg.flat_index()] += 1;
                             }
                             msp_state::RenameError::SameRegisterLimit(_) => {
                                 self.stats.stalls.same_reg_limit += 1;
