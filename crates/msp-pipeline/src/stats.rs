@@ -3,8 +3,9 @@
 //!
 //! Each counter block ([`SimStats`], [`ExecutedBreakdown`],
 //! [`StallBreakdown`], [`ActivityCounters`]) lists its fields once, in a
-//! `counter_block!` invocation. Everything that visits every counter is a
-//! loop over the iterators that list derives: `Default`, the fold
+//! `counter_block!` invocation, which derives `Default` and the
+//! `counters()`/`counters_mut()` iterators. Everything else that visits
+//! every counter is a loop over those iterators: the fold
 //! ([`SimStats::accumulate`]), the window subtraction
 //! ([`SimStats::subtracting`]), the block totals and the journal's cell
 //! codec. Adding a counter therefore takes its declaration plus one list
