@@ -29,6 +29,9 @@
 //! varint in the order of `SimStats::counters` (bank stalls included, as a
 //! fixed per-register block), then the sampled estimates. That counter
 //! list is the cell format of version 3 ([`JOURNAL_FORMAT_VERSION`]).
+//! A WAL whose header is unrecognisable or names another version starts
+//! over empty, and the cell files beside it are deleted: no record of the
+//! new log can reach them.
 //!
 //! # Commit discipline (the murodb-style WAL rules)
 //!
@@ -98,7 +101,10 @@ const WAL_PAYLOAD_LEN: usize = 8;
 /// Environment knob of the deterministic kill-point harness:
 /// `MSP_BENCH_KILL_POINT=<site>[:<n>]` delivers a real SIGKILL to this
 /// process at the `n`-th (default first) execution of the named crash site.
-/// The sites are [`KILL_POINTS`]. Test-only in spirit, but compiled in
+/// The sites are [`KILL_POINTS`]. A value naming another site, or a count
+/// that is not a positive integer, ends the process with a message before
+/// any cell commits: [`ExperimentJournal::open`] reads the variable, and so
+/// does the first window to finish. Test-only in spirit, but compiled in
 /// unconditionally: the env var is read once and the disarmed fast path is
 /// one atomic-free `OnceLock` read.
 pub const KILL_POINT_ENV: &str = "MSP_BENCH_KILL_POINT";
@@ -128,20 +134,36 @@ pub const KILL_POINTS: [&str; 5] = [
     KILL_WAL_APPENDED,
 ];
 
-static KILL_SPEC: OnceLock<Option<(String, u64)>> = OnceLock::new();
+static KILL_SPEC: OnceLock<Option<(&'static str, u64)>> = OnceLock::new();
 static KILL_HITS: AtomicU64 = AtomicU64::new(0);
 
-fn kill_spec() -> Option<&'static (String, u64)> {
+fn kill_spec() -> Option<&'static (&'static str, u64)> {
     KILL_SPEC
         .get_or_init(|| {
             let raw = std::env::var(KILL_POINT_ENV).ok()?;
-            let (site, nth) = match raw.split_once(':') {
-                Some((site, n)) => (site.to_string(), n.trim().parse().unwrap_or(1)),
-                None => (raw, 1),
-            };
-            Some((site, nth.max(1)))
+            let spec = parse_kill_spec(&raw);
+            if spec.is_none() {
+                eprintln!(
+                    "msp-bench: invalid {KILL_POINT_ENV}={raw:?}: expected <site>[:<n>] \
+                     with n a positive integer and <site> one of {}",
+                    KILL_POINTS.join(", ")
+                );
+                std::process::exit(1);
+            }
+            spec
         })
         .as_ref()
+}
+
+/// Parses `<site>[:<n>]`: `None` unless the site is one of [`KILL_POINTS`]
+/// and the count, when given, is a positive integer.
+fn parse_kill_spec(raw: &str) -> Option<(&'static str, u64)> {
+    let (site, nth) = match raw.split_once(':') {
+        Some((site, n)) => (site, n.trim().parse().ok().filter(|&n| n > 0)?),
+        None => (raw, 1),
+    };
+    let site = KILL_POINTS.into_iter().find(|&known| known == site)?;
+    Some((site, nth))
 }
 
 /// True when this call is the configured occurrence of `site` — the caller
@@ -149,7 +171,7 @@ fn kill_spec() -> Option<&'static (String, u64)> {
 /// itself before dying).
 fn kill_armed(site: &str) -> bool {
     match kill_spec() {
-        Some((armed, nth)) if armed == site => {
+        Some((armed, nth)) if *armed == site => {
             KILL_HITS.fetch_add(1, Ordering::Relaxed) + 1 == *nth
         }
         _ => false,
@@ -350,6 +372,8 @@ impl ExperimentJournal {
     /// degrades to in-memory operation (the sweep still runs, nothing
     /// persists).
     pub fn open(dir: impl Into<PathBuf>) -> ExperimentJournal {
+        // A malformed kill point ends the process here, before any work.
+        kill_spec();
         let dir = dir.into();
         let (wal, known, degraded) = match open_wal(&dir) {
             Ok((wal, known)) => (Some(wal), known, false),
@@ -496,7 +520,22 @@ fn open_wal(dir: &Path) -> io::Result<(File, HashSet<u64>)> {
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
     let (known, valid_len) = replay_wal(&bytes);
-    if (valid_len as usize) < bytes.len() {
+    if valid_len < WAL_HEADER_LEN as u64 {
+        // Empty, unrecognisable or another format version: start a fresh
+        // log. No record of it can reach the cell files already here.
+        if !bytes.is_empty() {
+            eprintln!(
+                "msp-bench: restarting experiment journal {} ({}) and removing its cell files",
+                path.display(),
+                describe_header(&bytes)
+            );
+        }
+        remove_cell_files(dir);
+        file.set_len(0)?;
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&wal_header())?;
+        file.sync_data()?;
+    } else if (valid_len as usize) < bytes.len() {
         eprintln!(
             "msp-bench: truncating torn experiment journal tail ({} of {} bytes valid) in {}",
             valid_len,
@@ -505,15 +544,34 @@ fn open_wal(dir: &Path) -> io::Result<(File, HashSet<u64>)> {
         );
         file.set_len(valid_len)?;
     }
-    if valid_len < WAL_HEADER_LEN as u64 {
-        // Empty or header-corrupt file: start a fresh log.
-        file.set_len(0)?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&wal_header())?;
-        file.sync_data()?;
-    }
     file.seek(SeekFrom::End(0))?;
     Ok((file, known))
+}
+
+/// Why a WAL header failed replay: the format version it names, or that it
+/// is not a journal header at all.
+fn describe_header(bytes: &[u8]) -> String {
+    match bytes.get(8..WAL_HEADER_LEN) {
+        Some(version) if bytes.starts_with(WAL_MAGIC) => format!(
+            "format version {}, this build writes {JOURNAL_FORMAT_VERSION}",
+            u32::from_le_bytes(version.try_into().expect("4 bytes"))
+        ),
+        _ => "unrecognisable header".to_string(),
+    }
+}
+
+/// Removes every cell file in `dir`. A file that cannot be removed only
+/// wastes space: a cell recorded later overwrites its file before its WAL
+/// record lands.
+fn remove_cell_files(dir: &Path) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for path in entries.flatten().map(|dirent| dirent.path()) {
+        if path.extension().is_some_and(|ext| ext == CELL_FILE_EXT) {
+            let _ = fs::remove_file(path);
+        }
+    }
 }
 
 fn record_durable(
@@ -1361,14 +1419,22 @@ mod tests {
             "unrecognisable log restarts fresh"
         );
         // A well-formed log of the previous format version replays nothing:
-        // its cells were encoded in the old format.
+        // its cells were encoded in the old format, so their files go too.
         let mut old = WAL_MAGIC.to_vec();
         old.extend_from_slice(&2u32.to_le_bytes());
         old.extend_from_slice(&wal_record(0x5555));
         fs::write(&wal, &old).unwrap();
+        let old_cell = journal.cell_path(0x5555);
+        fs::write(&old_cell, b"a version-2 cell").unwrap();
         let journal = ExperimentJournal::open(&dir);
         assert_eq!(journal.known_count(), 0);
         assert_eq!(fs::read(&wal).unwrap(), wal_header());
+        assert!(!old_cell.exists(), "the restart removes unreachable cells");
+        assert_eq!(
+            describe_header(&old),
+            format!("format version 2, this build writes {JOURNAL_FORMAT_VERSION}")
+        );
+        assert_eq!(describe_header(b"NOTAJRNL"), "unrecognisable header");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -459,6 +459,32 @@ fn sampled_kill_mid_windows_keeps_every_finished_cell() {
     );
 }
 
+/// A malformed kill point is rejected, not guessed at: an unparsable or
+/// zero count, or an unknown site, fails the run with a message naming the
+/// variable and its value, without a SIGKILL and before any cell commits.
+#[test]
+fn malformed_kill_point_fails_before_any_commit() {
+    for value in ["wal-appended:x", "wal-appended:0", "wal-apended:1"] {
+        let dir = TempDir::new("bad-kill-point");
+        let run = msp_lab_cmd(&dir)
+            .env(KILL_POINT_ENV, value)
+            .args(["table1", "--resume"])
+            .output()
+            .expect("run with a malformed kill point");
+        assert_eq!(run.status.code(), Some(1), "{value}: exit status");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains(&format!("{KILL_POINT_ENV}={value:?}")),
+            "{value}: the message names the variable and its value:\n{stderr}"
+        );
+        assert_eq!(
+            ExperimentJournal::open(dir.path()).known_count(),
+            0,
+            "{value}: no cell committed"
+        );
+    }
+}
+
 /// `msp-lab batch` is the same machinery end-to-end: kill a batch run
 /// mid-manifest, re-run it, and the concatenated reports must be identical
 /// to an uninterrupted batch over a fresh journal.

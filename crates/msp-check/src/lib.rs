@@ -47,7 +47,7 @@ pub use machine::{default_program, CheckConfig, MspEvent, MspMachine, Op};
 /// | name | site | defect |
 /// |---|---|---|
 /// | `skip-reliq-clear` | `MspStateManager::clear_iq_slot` | the squash path forgets to clear one squashed slot's RelIQ column |
-/// | `sct-release-off-by-one` | `Sct::release_committed_with` | commit keeps two committed entries instead of one |
+/// | `sct-release-off-by-one` | `Sct::release_committed` | commit keeps two committed entries instead of one |
 /// | `stale-lcs-anchor` | `MspStateManager::recover` | recovery forgets to flush the LCS propagation pipeline |
 /// | `sct-recover-keep-youngest` | `Sct::recover` | recovery stops before releasing all squashed renamings |
 /// | `counter-recover-off-by-one` | `StateCounter::recover_to` | the counter recovers one state too young |

@@ -556,7 +556,7 @@ impl MspMachine {
         }
         let renamed = self
             .manager
-            .rename_one(&RenameRequest::new(dest_arch, &src_arch[..arity]))
+            .rename(&RenameRequest::new(dest_arch, &src_arch[..arity]))
             .map_err(|e| format!("rename stalled despite enabledness check: {e}"))?;
         let srcs = renamed.sources.map(|m| m.map(|m| m.phys));
         // Exactly the simulator's dispatch discipline: a use bit per source,
@@ -732,8 +732,9 @@ impl MspMachine {
     }
 
     fn apply_commit(&mut self) -> Result<(), String> {
-        let outcome = self.manager.clock_commit();
-        for &phys in &outcome.released {
+        let mut released = Vec::new();
+        let lcs = self.manager.clock_commit(|phys| released.push(phys));
+        for phys in released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("commit released unledgered register {phys}"));
             }
@@ -747,7 +748,7 @@ impl MspMachine {
         let boundary = self
             .insts
             .iter()
-            .find(|f| !(f.status == Status::Done && f.state < outcome.lcs))
+            .find(|f| !(f.status == Status::Done && f.state < lcs))
             .map_or(self.next_seq, |f| f.seq);
         let mut drained = Vec::new();
         self.stores

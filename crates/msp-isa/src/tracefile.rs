@@ -763,6 +763,22 @@ fn read_chunk(
     Ok(())
 }
 
+/// Reads the chunk at `entry` and decodes its payload with `decode`, which
+/// must consume all of it: the checkpoint, end-state and BBV chunks.
+fn read_chunk_as<T>(
+    file: &mut File,
+    entry: &ChunkEntry,
+    comp: &mut Vec<u8>,
+    raw: &mut Vec<u8>,
+    decode: impl FnOnce(&mut Reader<'_>) -> Result<T, TraceFileError>,
+) -> Result<T, TraceFileError> {
+    read_chunk(file, entry, comp, raw)?;
+    let mut bytes = Reader::new(raw);
+    let value = decode(&mut bytes)?;
+    bytes.expect_end()?;
+    Ok(value)
+}
+
 impl BlockEntry {
     fn chunk(&self) -> ChunkEntry {
         ChunkEntry {
@@ -976,18 +992,12 @@ impl TraceReader {
             read_chunk(&mut file, &b.chunk(), &mut comp, &mut raw)?;
             decode_block(program, &raw, b.first_pc, b.records, &mut records)?;
         }
-        let mut decode_chunk_state = |entry: &ChunkEntry| -> Result<ArchState, TraceFileError> {
-            read_chunk(&mut file, entry, &mut comp, &mut raw)?;
-            let mut bytes = Reader::new(&raw);
-            let state = decode_state(&mut bytes)?;
-            bytes.expect_end()?;
-            Ok(state)
-        };
-        let mut checkpoints = Vec::with_capacity(self.checkpoints.len());
-        for c in &self.checkpoints {
-            checkpoints.push(decode_chunk_state(c)?);
-        }
-        let end_state = decode_chunk_state(&self.end)?;
+        let checkpoints = self
+            .checkpoints
+            .iter()
+            .map(|c| read_chunk_as(&mut file, c, &mut comp, &mut raw, decode_state))
+            .collect::<Result<Vec<_>, _>>()?;
+        let end_state = read_chunk_as(&mut file, &self.end, &mut comp, &mut raw, decode_state)?;
         Ok(Trace::from_parts(
             records,
             end_state,
@@ -1002,13 +1012,13 @@ impl TraceReader {
     /// without decoding any record.
     pub fn read_bbvs(&self) -> Result<Vec<BbvSignature>, TraceFileError> {
         let mut file = File::open(&self.path)?;
-        let mut comp = Vec::new();
-        let mut raw = Vec::new();
-        read_chunk(&mut file, &self.bbv, &mut comp, &mut raw)?;
-        let mut bytes = Reader::new(&raw);
-        let bbvs = decode_bbvs(&mut bytes)?;
-        bytes.expect_end()?;
-        Ok(bbvs)
+        read_chunk_as(
+            &mut file,
+            &self.bbv,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            decode_bbvs,
+        )
     }
 
     /// Opens a streaming [`TraceCursor`] over this file. The reader is shared
@@ -1110,25 +1120,8 @@ impl TraceCursor {
     /// lazily on first use.
     pub fn end_state(&mut self) -> &ArchState {
         if self.end_state.is_none() {
-            read_chunk(
-                &mut self.file,
-                &self.reader.end,
-                &mut self.comp_buf,
-                &mut self.raw_buf,
-            )
-            .and_then(|()| {
-                let mut bytes = Reader::new(&self.raw_buf);
-                let state = decode_state(&mut bytes)?;
-                bytes.expect_end()?;
-                Ok(state)
-            })
-            .map(|state| self.end_state = Some(state))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "trace file {} was modified while in use: {e}",
-                    self.reader.path.display()
-                )
-            });
+            let end = self.reader.end;
+            self.end_state = Some(self.read_state(&end));
         }
         self.end_state.as_ref().unwrap()
     }
@@ -1142,25 +1135,28 @@ impl TraceCursor {
             return None;
         }
         let entry = *self.reader.checkpoints.get((index / interval) as usize)?;
-        read_chunk(
+        Some(self.read_state(&entry))
+    }
+
+    /// Reads one of the file's state chunks (a checkpoint or the end state).
+    fn read_state(&mut self, entry: &ChunkEntry) -> ArchState {
+        read_chunk_as(
             &mut self.file,
-            &entry,
+            entry,
             &mut self.comp_buf,
             &mut self.raw_buf,
+            decode_state,
         )
-        .and_then(|()| {
-            let mut bytes = Reader::new(&self.raw_buf);
-            let state = decode_state(&mut bytes)?;
-            bytes.expect_end()?;
-            Ok(state)
-        })
-        .map(Some)
-        .unwrap_or_else(|e| {
-            panic!(
-                "trace file {} was modified while in use: {e}",
-                self.reader.path.display()
-            )
-        })
+        .unwrap_or_else(|e| self.modified_while_in_use(e))
+    }
+
+    /// The file was verified when the reader opened it, so a chunk that no
+    /// longer reads back means it changed on disk underneath the cursor.
+    fn modified_while_in_use(&self, e: TraceFileError) -> ! {
+        panic!(
+            "trace file {} was modified while in use: {e}",
+            self.reader.path.display()
+        )
     }
 
     fn slot_for(&mut self, program: &Program, block: u32) -> usize {
@@ -1201,12 +1197,7 @@ impl TraceCursor {
                 &mut self.slots[i].records,
             )
         })
-        .unwrap_or_else(|e| {
-            panic!(
-                "trace file {} was modified while in use: {e}",
-                self.reader.path.display()
-            )
-        });
+        .unwrap_or_else(|e| self.modified_while_in_use(e));
         i
     }
 }

@@ -279,19 +279,11 @@ impl SimConfig {
                 regs_per_bank,
                 iq_size: self.resources.iq_size,
                 lcs_delay: self.lcs_delay.unwrap_or(1),
-                rename: msp_state::RenameUnitConfig {
-                    width: 4,
-                    max_same_logical: self.max_same_reg_renames,
-                },
                 ..MspConfig::default()
             },
             MachineKind::IdealMsp => MspConfig {
                 iq_size: self.resources.iq_size,
                 lcs_delay: self.lcs_delay.unwrap_or(0),
-                rename: msp_state::RenameUnitConfig {
-                    width: 4,
-                    max_same_logical: self.max_same_reg_renames,
-                },
                 ..MspConfig::ideal()
             },
             _ => panic!("msp_config requested for a non-MSP machine"),

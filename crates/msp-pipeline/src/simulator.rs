@@ -787,7 +787,7 @@ impl<'p> Simulator<'p> {
                 if let (Some(dest), Backend::Msp { arbiter, .. }) =
                     (self.window[idx].msp_dest, &mut self.backend)
                 {
-                    if !arbiter.request_write(dest.bank()).is_granted() {
+                    if !arbiter.request_write(dest.bank()) {
                         self.stats.port_conflicts += 1;
                         self.window[idx].complete_cycle = self.cycle + 1;
                         self.completion_events.push(Reverse((self.cycle + 1, seq)));
@@ -1228,7 +1228,7 @@ impl<'p> Simulator<'p> {
 
     fn commit_msp(&mut self) {
         let lcs = match &mut self.backend {
-            Backend::Msp { manager, .. } => manager.clock_commit_lcs(),
+            Backend::Msp { manager, .. } => manager.clock_commit(|_| {}),
             Backend::Counted { .. } => unreachable!("MSP commit with a counted backend"),
         };
         // The LCS unit propagates its reduction once per commit clock.
@@ -1331,7 +1331,7 @@ impl<'p> Simulator<'p> {
                         .filter(|bank| Some(*bank) != first);
                     let mut all_granted = true;
                     for bank in [first, second].into_iter().flatten() {
-                        if !arbiter.request_read(bank).is_granted() {
+                        if !arbiter.request_read(bank) {
                             all_granted = false;
                         }
                     }
@@ -1606,9 +1606,8 @@ impl<'p> Simulator<'p> {
         let inst = front.rec.inst;
         let dest = inst.dest();
 
-        // Backend renaming (the allocation-free `rename_one` path: sources
-        // are gathered into a fixed two-element buffer and the returned
-        // mappings stay inline).
+        // Backend renaming (allocation-free: sources are gathered into a
+        // fixed two-element buffer and the returned mappings stay inline).
         let (msp_state, msp_dest, msp_source_bits, msp_anchor_bit) = match &mut self.backend {
             Backend::Msp { manager, .. } => {
                 let mut sources = [ArchReg::ZERO; 2];
@@ -1618,7 +1617,7 @@ impl<'p> Simulator<'p> {
                     source_count += 1;
                 }
                 let request = RenameRequest::new(dest, &sources[..source_count]);
-                match manager.rename_one(&request) {
+                match manager.rename(&request) {
                     Ok(renamed) => {
                         self.stats.activity.sct_lookups += renamed.sct_lookups();
                         let slot = *self.iq_free.last().expect("IQ capacity checked earlier");
@@ -1653,16 +1652,8 @@ impl<'p> Simulator<'p> {
                             anchor,
                         )
                     }
-                    Err(err) => {
-                        match err {
-                            msp_state::RenameError::BankFull(reg) => {
-                                self.stats.stalls.bank_full[reg.flat_index()] += 1;
-                            }
-                            msp_state::RenameError::SameRegisterLimit(_) => {
-                                self.stats.stalls.same_reg_limit += 1;
-                            }
-                            msp_state::RenameError::WidthLimit => {}
-                        }
+                    Err(msp_state::RenameError::BankFull(reg)) => {
+                        self.stats.stalls.bank_full[reg.flat_index()] += 1;
                         return false;
                     }
                 }
@@ -2102,6 +2093,43 @@ mod tests {
         let ideal = run_machine(w.program(), MachineKind::IdealMsp, 4_000);
         assert_eq!(ideal.stats.stalls.bank_full_total(), 0);
         assert!(ideal.ipc() >= result.ipc());
+    }
+
+    /// Section 3.3's limit on renamings of one logical register per cycle is
+    /// enforced by the dispatch stage alone: a loop of back-to-back writes to
+    /// one register stalls on it, more at a limit of 1 than of 2, never at a
+    /// limit equal to the rename width, and never on Baseline or CPR.
+    #[test]
+    fn same_register_rename_limit_stalls_dispatch() {
+        let r = ArchReg::int;
+        let mut b = msp_workloads::ProgramBuilder::new("same-reg");
+        b.inst(msp_isa::Instruction::li(r(1), 256));
+        b.label("loop");
+        for _ in 0..6 {
+            b.inst(msp_isa::Instruction::addi(r(2), r(2), 1));
+        }
+        b.inst(msp_isa::Instruction::addi(r(1), r(1), -1));
+        b.bne(r(1), ArchReg::ZERO, "loop");
+        b.inst(msp_isa::Instruction::halt());
+        let program = b.build();
+        let stalls = |machine: MachineKind, limit: usize| {
+            let mut config = SimConfig::machine(machine, PredictorKind::Gshare);
+            config.max_same_reg_renames = limit;
+            let result = Simulator::new(&program, config).run(10_000);
+            assert!(!result.truncated_by_watchdog, "{machine:?} at {limit}");
+            result.stats.stalls.same_reg_limit
+        };
+        let msp = MachineKind::msp(64);
+        let (at_one, at_two) = (stalls(msp, 1), stalls(msp, 2));
+        assert!(at_two > 0, "two renamings of r2 per cycle must stall");
+        assert!(at_one > at_two, "limit 1 stalls {at_one}, limit 2 {at_two}");
+        let width = SimConfig::machine(msp, PredictorKind::Gshare)
+            .frontend
+            .rename_width;
+        assert_eq!(stalls(msp, width), 0, "a limit of the rename width");
+        for machine in [MachineKind::Baseline, MachineKind::cpr()] {
+            assert_eq!(stalls(machine, 1), 0, "{machine:?} has no such limit");
+        }
     }
 
     #[test]

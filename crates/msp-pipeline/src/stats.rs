@@ -90,8 +90,8 @@ pub struct ActivityCounters {
     /// Rename-map lookups: one per dispatched instruction, every machine.
     pub rename_lookups: u64,
     /// MSP State Control Table accesses: one per resolved source plus the
-    /// allocation/anchor access of each rename (`RenamedInstInline::
-    /// sct_lookups`). Zero on non-MSP machines.
+    /// allocation/anchor access of each rename (`RenamedInst::sct_lookups`).
+    /// Zero on non-MSP machines.
     pub sct_lookups: u64,
     /// MSP LCS-unit propagations: one per commit-stage clock. Zero on
     /// non-MSP machines.

@@ -28,15 +28,15 @@
 //! * [`LcsUnit`] — the global **Last Committed StateId** reduction tree:
 //!   `LCS = min(StateId[RelP_i])` over all banks, with a configurable
 //!   propagation delay (Section 3.2.2).
-//! * [`BankedRegFile`] / [`PortArbiter`] — a banked physical register file
-//!   with a single read and a single write port per bank, plus the port
-//!   arbitration the MSP adds as an extra pipeline stage (Section 5.1).
-//! * [`RenameUnit`] — multi-instruction renaming per cycle, allowing up to a
-//!   configurable number of same-logical-register renamings per cycle
-//!   (Section 3.3).
+//! * [`PortArbiter`] — the banked register file has a single read and a
+//!   single write port per bank; the arbiter grants them cycle by cycle, the
+//!   arbitration stage the MSP adds to the pipeline (Section 5.1).
 //! * [`MspStateManager`] — the facade tying everything together: allocation,
 //!   renaming, use tracking, commit/release driven by the LCS, and precise
-//!   recovery (Section 3.5).
+//!   recovery (Section 3.5). It renames one instruction at a time; the
+//!   per-cycle limits of Section 3.3 (rename width, at most two renamings of
+//!   one logical register per cycle) are enforced by the timing simulator's
+//!   dispatch stage.
 //!
 //! # Quick example
 //!
@@ -46,11 +46,10 @@
 //!
 //! let mut msp = MspStateManager::new(MspConfig::default());
 //! // Rename "add r2, r1, r1" (allocates a new state for r2's new renaming).
-//! let outcome = msp
-//!     .rename_group(&[RenameRequest::new(Some(ArchReg::int(2)), &[ArchReg::int(1), ArchReg::int(1)])])
-//!     .expect("rename group fits");
-//! assert_eq!(outcome.renamed.len(), 1);
-//! let dest = outcome.renamed[0].dest.expect("r2 allocates a register");
+//! let renamed = msp
+//!     .rename(&RenameRequest::new(Some(ArchReg::int(2)), &[ArchReg::int(1), ArchReg::int(1)]))
+//!     .expect("r2's bank has a free register");
+//! let dest = renamed.dest.expect("r2 allocates a register");
 //! assert_eq!(dest.state_id.as_u64(), 1); // first allocated state after the initial one
 //! ```
 
@@ -64,18 +63,16 @@ pub mod mutation;
 mod physreg;
 mod regfile;
 mod reliq;
-mod rename;
 mod sct;
 mod stateid;
 
 pub use lcs::LcsUnit;
 pub use manager::{
-    CommitOutcome, MspConfig, MspStateManager, MspStats, RecoveryOutcome, RenameError,
-    RenameGroupOutcome, RenameRequest, RenamedDest, RenamedInst, RenamedInstInline, SourceMapping,
+    MspConfig, MspStateManager, MspStats, RecoveryOutcome, RenameError, RenameRequest, RenamedDest,
+    RenamedInst, SourceMapping,
 };
 pub use physreg::PhysReg;
-pub use regfile::{BankedRegFile, PortArbiter, PortRequestOutcome};
+pub use regfile::PortArbiter;
 pub use reliq::RelIq;
-pub use rename::{RenameUnit, RenameUnitConfig};
 pub use sct::{Sct, SctEntry, SctError};
 pub use stateid::{CompactStateId, StateCounter, StateId, StateIdRange};

@@ -4,7 +4,6 @@
 use crate::lcs::LcsUnit;
 use crate::physreg::PhysReg;
 use crate::reliq::RelIq;
-use crate::rename::{RenameUnit, RenameUnitConfig};
 use crate::sct::Sct;
 use crate::stateid::{StateCounter, StateId};
 use msp_isa::{ArchReg, NUM_LOGICAL_REGS};
@@ -25,8 +24,6 @@ pub struct MspConfig {
     /// Propagation delay of the LCS reduction tree in cycles (Table I: 1 for
     /// n-SP, 0 for the ideal MSP).
     pub lcs_delay: usize,
-    /// Per-cycle renaming limits (Section 3.3).
-    pub rename: RenameUnitConfig,
 }
 
 impl Default for MspConfig {
@@ -36,7 +33,6 @@ impl Default for MspConfig {
             banks: NUM_LOGICAL_REGS,
             iq_size: 128,
             lcs_delay: 1,
-            rename: RenameUnitConfig::default(),
         }
     }
 }
@@ -146,14 +142,14 @@ pub struct RenamedDest {
 }
 
 /// The result of renaming one instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenamedInst {
     /// The processor state this instruction belongs to.
     pub state_id: StateId,
     /// The allocated destination, if the instruction writes a register.
     pub dest: Option<RenamedDest>,
-    /// Resolved source operands.
-    pub sources: Vec<SourceMapping>,
+    /// Resolved source operands (program order, `None`-padded).
+    pub sources: [Option<SourceMapping>; 2],
     /// The physical register anchoring this instruction's state: for
     /// instructions that do not allocate a register (stores, branches) the
     /// pipeline sets a RelIQ use bit on this row so the state cannot commit
@@ -161,23 +157,7 @@ pub struct RenamedInst {
     pub anchor: PhysReg,
 }
 
-/// The result of renaming one instruction through the allocation-free
-/// [`MspStateManager::rename_one`] path: identical to [`RenamedInst`] except
-/// that the (at most two) source mappings are stored inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RenamedInstInline {
-    /// The processor state this instruction belongs to.
-    pub state_id: StateId,
-    /// The allocated destination, if the instruction writes a register.
-    pub dest: Option<RenamedDest>,
-    /// Resolved source operands (program order, `None`-padded).
-    pub sources: [Option<SourceMapping>; 2],
-    /// The physical register anchoring this instruction's state (see
-    /// [`RenamedInst::anchor`]).
-    pub anchor: PhysReg,
-}
-
-impl RenamedInstInline {
+impl RenamedInst {
     /// Number of State Control Table accesses this renaming performed: one
     /// lookup per resolved source operand plus the allocation (or anchor)
     /// access of the destination bank. This is the per-rename activity
@@ -187,52 +167,23 @@ impl RenamedInstInline {
     }
 }
 
-/// Why renaming stopped partway through (or before) a group.
+/// Why an instruction could not be renamed this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RenameError {
     /// The bank of this logical register has no free physical register
     /// (the register-file stall of Figs. 6–8).
     BankFull(ArchReg),
-    /// Too many instructions in the group rename the same logical register
-    /// in one cycle (Section 3.3).
-    SameRegisterLimit(ArchReg),
-    /// The group exceeds the per-cycle rename width.
-    WidthLimit,
 }
 
 impl fmt::Display for RenameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RenameError::BankFull(r) => write!(f, "no free physical register in bank {r}"),
-            RenameError::SameRegisterLimit(r) => {
-                write!(f, "too many renamings of {r} in one cycle")
-            }
-            RenameError::WidthLimit => write!(f, "rename width exceeded"),
         }
     }
 }
 
 impl Error for RenameError {}
-
-/// The result of renaming a decode group.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RenameGroupOutcome {
-    /// The renamed prefix of the group, in program order.
-    pub renamed: Vec<RenamedInst>,
-    /// Why the rest of the group was not renamed, if it was truncated.
-    pub stall: Option<RenameError>,
-}
-
-/// The result of one commit/release cycle.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CommitOutcome {
-    /// The LCS visible this cycle; every state strictly older is committed.
-    pub lcs: StateId,
-    /// Number of states that newly became committed this cycle.
-    pub newly_committed_states: u64,
-    /// Physical registers released this cycle.
-    pub released: Vec<PhysReg>,
-}
 
 /// The result of a precise state recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,10 +211,6 @@ pub struct MspStats {
     pub registers_squashed: u64,
     /// Rename attempts rejected because a bank was full.
     pub bank_full_stalls: u64,
-    /// Groups truncated by the same-logical-register limit.
-    pub same_reg_truncations: u64,
-    /// Groups truncated by the rename-width limit.
-    pub width_truncations: u64,
     /// Saturation-bit epoch resets of the hardware StateId counter.
     pub epoch_resets: u64,
 }
@@ -285,7 +232,6 @@ pub struct MspStateManager {
     slot_uses: Vec<Vec<(usize, usize)>>,
     counter: StateCounter,
     lcs: LcsUnit,
-    rename_unit: RenameUnit,
     last_allocated: PhysReg,
     committed_floor: StateId,
     /// Banks whose Release-Pointer inputs (Ready bits, RelIQ use bits,
@@ -340,7 +286,6 @@ impl MspStateManager {
             slot_uses: vec![Vec::new(); config.iq_size],
             counter: StateCounter::new(config.state_width()),
             lcs: LcsUnit::new(config.lcs_delay),
-            rename_unit: RenameUnit::new(config.rename),
             last_allocated: PhysReg::new(0, 0),
             committed_floor: StateId::ZERO,
             dirty_banks: all_banks_dirty(config.banks),
@@ -375,8 +320,6 @@ impl MspStateManager {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> MspStats {
         let mut stats = self.stats;
-        stats.same_reg_truncations = self.rename_unit.same_reg_truncations();
-        stats.width_truncations = self.rename_unit.width_truncations();
         stats.epoch_resets = self.counter.epoch_resets();
         stats
     }
@@ -424,102 +367,18 @@ impl MspStateManager {
         }
     }
 
-    /// Renames a decode group (in program order).
-    ///
-    /// The group is renamed as far as the per-cycle limits and bank capacity
-    /// allow. Source lookups within the group observe earlier renamings of
-    /// the same cycle (RAW resolution of Section 3.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the *first* instruction of the group cannot be
-    /// renamed — a full rename stall; the group must be retried next cycle.
-    pub fn rename_group(
-        &mut self,
-        group: &[RenameRequest],
-    ) -> Result<RenameGroupOutcome, RenameError> {
-        // First apply the per-cycle admission limits (width, same-register).
-        let dests: Vec<Option<ArchReg>> = group.iter().map(|r| r.dest()).collect();
-        let admissible = self.rename_unit.admissible_prefix(&dests);
-        let admission_stall = if admissible < group.len() {
-            // Identify which limit truncated the group for reporting.
-            let reg = dests[admissible];
-            Some(match reg {
-                Some(r)
-                    if self.count_same_dest(&dests[..admissible], r)
-                        >= self.config.rename.max_same_logical =>
-                {
-                    RenameError::SameRegisterLimit(r)
-                }
-                _ => RenameError::WidthLimit,
-            })
-        } else {
-            None
-        };
-
-        let mut renamed = Vec::with_capacity(admissible);
-        let mut stall = admission_stall;
-        for request in &group[..admissible] {
-            // Resolve sources against the *current* mappings, which already
-            // include renamings performed earlier in this same group.
-            let sources: Vec<SourceMapping> =
-                request.sources().map(|r| self.source_mapping(r)).collect();
-
-            let dest = match request.dest() {
-                Some(reg) => {
-                    let bank = reg.flat_index();
-                    if self.scts[bank].is_full() {
-                        self.scts[bank].record_full_stall();
-                        self.stats.bank_full_stalls += 1;
-                        stall = Some(RenameError::BankFull(reg));
-                        break;
-                    }
-                    let (state, _reset) = self.counter.allocate();
-                    let slot = self.scts[bank]
-                        .allocate(state)
-                        .expect("bank fullness checked above");
-                    self.stats.states_allocated += 1;
-                    self.mark_bank_dirty(bank);
-                    let phys = PhysReg::new(bank, slot);
-                    self.last_allocated = phys;
-                    Some(RenamedDest {
-                        phys,
-                        state_id: state,
-                    })
-                }
-                None => None,
-            };
-
-            self.stats.instructions_renamed += 1;
-            renamed.push(RenamedInst {
-                state_id: self.counter.current(),
-                dest,
-                sources,
-                anchor: self.last_allocated,
-            });
-        }
-
-        if renamed.is_empty() {
-            Err(stall.expect("an empty rename outcome always carries a stall reason"))
-        } else {
-            Ok(RenameGroupOutcome { renamed, stall })
-        }
-    }
-
-    /// Renames a single instruction without heap allocation — the per-cycle
-    /// hot path of the timing simulator. Behaves exactly like
-    /// `rename_group(&[request])` observed through `renamed[0]`: a
-    /// single-instruction group can never be truncated by the per-cycle
-    /// width or same-register admission limits, so only a full bank stalls.
+    /// Renames one instruction, in program order: resolves its sources
+    /// against the current mappings (which already include the renamings
+    /// dispatched earlier in the same cycle, the RAW resolution of
+    /// Section 3.3) and allocates its destination in the destination
+    /// register's bank. The per-cycle width and same-register limits of
+    /// Section 3.3 are the dispatch stage's to enforce.
     ///
     /// # Errors
     ///
     /// Returns [`RenameError::BankFull`] when the destination register's
     /// bank has no free entry.
-    pub fn rename_one(
-        &mut self,
-        request: &RenameRequest,
-    ) -> Result<RenamedInstInline, RenameError> {
+    pub fn rename(&mut self, request: &RenameRequest) -> Result<RenamedInst, RenameError> {
         let mut sources = [None, None];
         for (slot, reg) in sources.iter_mut().zip(request.sources()) {
             *slot = Some(self.source_mapping(reg));
@@ -548,16 +407,12 @@ impl MspStateManager {
             None => None,
         };
         self.stats.instructions_renamed += 1;
-        Ok(RenamedInstInline {
+        Ok(RenamedInst {
             state_id: self.counter.current(),
             dest,
             sources,
             anchor: self.last_allocated,
         })
-    }
-
-    fn count_same_dest(&self, dests: &[Option<ArchReg>], reg: ArchReg) -> usize {
-        dests.iter().filter(|d| **d == Some(reg)).count()
     }
 
     /// Records that the instruction in IQ slot `iq_slot` uses (or belongs to
@@ -616,26 +471,10 @@ impl MspStateManager {
 
     /// Performs one commit/release cycle (Section 3.2.2): advances every
     /// bank's Release Pointer, recomputes the LCS, commits every state older
-    /// than it and releases the corresponding physical registers.
-    pub fn clock_commit(&mut self) -> CommitOutcome {
-        let mut released = Vec::new();
-        let (lcs, newly_committed) = self.clock_commit_core(&mut |phys| released.push(phys));
-        CommitOutcome {
-            lcs,
-            newly_committed_states: newly_committed,
-            released,
-        }
-    }
-
-    /// Allocation-free variant of [`MspStateManager::clock_commit`] for the
-    /// simulator's per-cycle loop: performs exactly the same commit/release
-    /// work but only returns the visible LCS instead of materialising the
-    /// list of released physical registers.
-    pub fn clock_commit_lcs(&mut self) -> StateId {
-        self.clock_commit_core(&mut |_| {}).0
-    }
-
-    fn clock_commit_core(&mut self, on_release: &mut dyn FnMut(PhysReg)) -> (StateId, u64) {
+    /// than it and releases the corresponding physical registers, calling
+    /// `on_release` once for each. Returns the LCS visible this cycle: every
+    /// state strictly older is committed.
+    pub fn clock_commit(&mut self, mut on_release: impl FnMut(PhysReg)) -> StateId {
         // 1. Advance the Release Pointer of every *dirty* bank and refresh
         //    its cached LCS contribution and release gate. A clean bank's
         //    inputs (Ready bits, RelIQ use bits, Rename Pointer) are
@@ -672,7 +511,7 @@ impl MspStateManager {
         );
         // 3. Release committed registers, visiting only banks whose gate
         //    shows at least two entries older than the LCS (the exact
-        //    condition under which `release_committed_with` frees anything).
+        //    condition under which `release_committed` frees anything).
         let mut released_count = 0u64;
         let lcs_raw = lcs.as_u64();
         for bank in 0..self.scts.len() {
@@ -680,7 +519,7 @@ impl MspStateManager {
                 continue;
             }
             let reliqs = &mut self.reliqs;
-            self.scts[bank].release_committed_with(lcs, |slot| {
+            self.scts[bank].release_committed(lcs, |slot| {
                 reliqs[bank].clear_row(slot);
                 released_count += 1;
                 on_release(PhysReg::new(bank, slot));
@@ -695,7 +534,7 @@ impl MspStateManager {
         }
         self.stats.states_committed += newly_committed;
         self.stats.registers_released += released_count;
-        (lcs, newly_committed)
+        lcs
     }
 
     /// Performs a precise state recovery to `recovery_state` (Section 3.5):
@@ -1013,14 +852,15 @@ mod tests {
             RenameRequest::new(None, &[int(3)]), // bne
             RenameRequest::new(Some(int(1)), &[int(1), int(2)]),
         ];
-        let mut states = Vec::new();
-        for chunk in reqs.chunks(2) {
-            let out = msp.rename_group(chunk).expect("no stalls with n=8");
-            assert!(out.stall.is_none());
-            for inst in out.renamed {
-                states.push(inst.state_id.as_u64());
-            }
-        }
+        let states: Vec<u64> = reqs
+            .iter()
+            .map(|req| {
+                msp.rename(req)
+                    .expect("no stalls with n=8")
+                    .state_id
+                    .as_u64()
+            })
+            .collect();
         assert_eq!(states, vec![0, 1, 1, 2, 3, 4, 4, 5], "StateIds of Fig. 1");
         assert_eq!(msp.current_state(), StateId::new(5));
 
@@ -1052,20 +892,18 @@ mod tests {
         // Three successive renamings of r3.
         for _ in 0..3 {
             let out = msp
-                .rename_group(&[RenameRequest::new(Some(int(3)), &[int(3)])])
+                .rename(&RenameRequest::new(Some(int(3)), &[int(3)]))
                 .unwrap();
-            let dest = out.renamed[0].dest.unwrap();
-            msp.mark_ready(dest.phys);
+            msp.mark_ready(out.dest.unwrap().phys);
         }
         // Nothing uses the values; all banks become idle so the LCS jumps to
         // current + 1 and the two older renamings are released.
-        let commit = msp.clock_commit();
-        assert_eq!(commit.lcs, StateId::new(4));
-        assert_eq!(commit.newly_committed_states, 4);
+        let mut released = Vec::new();
+        assert_eq!(msp.clock_commit(|p| released.push(p)), StateId::new(4));
         // The initial architectural entry plus the two superseded renamings
         // are released; the youngest committed renaming survives.
-        assert_eq!(commit.released.len(), 3);
-        assert!(commit.released.iter().all(|p| p.bank() == 3));
+        assert_eq!(released.len(), 3);
+        assert!(released.iter().all(|p| p.bank() == 3));
         assert_eq!(msp.source_mapping(int(3)).phys.slot(), 3);
         assert_eq!(msp.stats().states_committed, 4);
         assert_eq!(msp.stats().registers_released, 3);
@@ -1077,21 +915,22 @@ mod tests {
             lcs_delay: 0,
             ..MspConfig::n_sp(8)
         });
-        let out = msp
-            .rename_group(&[RenameRequest::new(Some(int(5)), &[])])
+        let dest = msp
+            .rename(&RenameRequest::new(Some(int(5)), &[]))
+            .unwrap()
+            .dest
             .unwrap();
-        let dest = out.renamed[0].dest.unwrap();
         msp.mark_ready(dest.phys);
         // A consumer in IQ slot 9 still needs the value.
         msp.note_use(dest.phys, 9);
-        let commit = msp.clock_commit();
-        assert_eq!(commit.lcs, StateId::new(1), "state 1 cannot commit yet");
-        assert_eq!(commit.newly_committed_states, 1);
-        assert!(commit.released.is_empty());
+        let mut released = Vec::new();
+        let lcs = msp.clock_commit(|p| released.push(p));
+        assert_eq!(lcs, StateId::new(1), "state 1 cannot commit yet");
+        assert_eq!(msp.stats().states_committed, 1);
+        assert!(released.is_empty());
         // Once the consumer issues, the state commits.
         msp.clear_use(dest.phys, 9);
-        let commit = msp.clock_commit();
-        assert_eq!(commit.lcs, StateId::new(2));
+        assert_eq!(msp.clock_commit(|_| {}), StateId::new(2));
     }
 
     #[test]
@@ -1100,11 +939,10 @@ mod tests {
             lcs_delay: 0,
             ..MspConfig::n_sp(8)
         });
-        msp.rename_group(&[RenameRequest::new(Some(int(4)), &[])])
-            .unwrap();
-        let commit = msp.clock_commit();
-        assert_eq!(commit.lcs, StateId::new(1));
-        assert!(commit.released.is_empty());
+        msp.rename(&RenameRequest::new(Some(int(4)), &[])).unwrap();
+        let mut released = Vec::new();
+        assert_eq!(msp.clock_commit(|p| released.push(p)), StateId::new(1));
+        assert!(released.is_empty());
     }
 
     #[test]
@@ -1113,25 +951,22 @@ mod tests {
             lcs_delay: 2,
             ..MspConfig::n_sp(8)
         });
-        let out = msp
-            .rename_group(&[RenameRequest::new(Some(int(2)), &[])])
-            .unwrap();
-        msp.mark_ready(out.renamed[0].dest.unwrap().phys);
+        let out = msp.rename(&RenameRequest::new(Some(int(2)), &[])).unwrap();
+        msp.mark_ready(out.dest.unwrap().phys);
         // With a 2-cycle propagation delay the new minimum becomes visible on
         // the third clock.
-        assert_eq!(msp.clock_commit().lcs, StateId::ZERO);
-        assert_eq!(msp.clock_commit().lcs, StateId::ZERO);
-        assert_eq!(msp.clock_commit().lcs, StateId::new(2));
+        assert_eq!(msp.clock_commit(|_| {}), StateId::ZERO);
+        assert_eq!(msp.clock_commit(|_| {}), StateId::ZERO);
+        assert_eq!(msp.clock_commit(|_| {}), StateId::new(2));
     }
 
     #[test]
     fn bank_full_stall_is_reported_and_counted() {
         let mut msp = MspStateManager::new(MspConfig::n_sp(2));
         // One free slot besides the architectural mapping: second rename stalls.
-        msp.rename_group(&[RenameRequest::new(Some(int(7)), &[])])
-            .unwrap();
+        msp.rename(&RenameRequest::new(Some(int(7)), &[])).unwrap();
         let err = msp
-            .rename_group(&[RenameRequest::new(Some(int(7)), &[])])
+            .rename(&RenameRequest::new(Some(int(7)), &[]))
             .unwrap_err();
         assert_eq!(err, RenameError::BankFull(int(7)));
         assert_eq!(msp.bank_full_stalls(int(7)), 1);
@@ -1143,83 +978,51 @@ mod tests {
     }
 
     #[test]
-    fn partial_group_on_mid_group_bank_full() {
-        let mut msp = MspStateManager::new(MspConfig::n_sp(2));
-        let group = [
-            RenameRequest::new(Some(int(1)), &[]),
-            RenameRequest::new(Some(int(1)), &[]), // bank r1 now full
-            RenameRequest::new(Some(int(2)), &[]),
-        ];
-        let out = msp.rename_group(&group).unwrap();
-        assert_eq!(out.renamed.len(), 1);
-        assert_eq!(out.stall, Some(RenameError::BankFull(int(1))));
-    }
-
-    #[test]
-    fn same_register_limit_truncates_group() {
-        let mut msp = MspStateManager::new(MspConfig::n_sp(16));
-        let group = [
-            RenameRequest::new(Some(int(9)), &[]),
-            RenameRequest::new(Some(int(9)), &[]),
-            RenameRequest::new(Some(int(9)), &[]),
-        ];
-        let out = msp.rename_group(&group).unwrap();
-        assert_eq!(out.renamed.len(), 2);
-        assert_eq!(out.stall, Some(RenameError::SameRegisterLimit(int(9))));
-        assert_eq!(msp.stats().same_reg_truncations, 1);
-    }
-
-    #[test]
     fn same_cycle_raw_dependency_sees_new_renaming() {
         let mut msp = MspStateManager::new(MspConfig::n_sp(8));
-        let group = [
-            RenameRequest::new(Some(int(2)), &[int(1)]),
-            RenameRequest::new(Some(int(3)), &[int(2)]), // must see the new r2
-        ];
-        let out = msp.rename_group(&group).unwrap();
-        let first_dest = out.renamed[0].dest.unwrap().phys;
-        assert_eq!(out.renamed[1].sources[0].phys, first_dest);
-        assert!(!out.renamed[1].sources[0].ready);
+        let first = msp
+            .rename(&RenameRequest::new(Some(int(2)), &[int(1)]))
+            .unwrap();
+        // The second instruction must see the new r2.
+        let second = msp
+            .rename(&RenameRequest::new(Some(int(3)), &[int(2)]))
+            .unwrap();
+        let source = second.sources[0].unwrap();
+        assert_eq!(source.phys, first.dest.unwrap().phys);
+        assert!(!source.ready);
     }
 
     #[test]
     fn anchor_tracks_latest_allocation() {
         let mut msp = MspStateManager::new(MspConfig::n_sp(8));
-        let out = msp
-            .rename_group(&[
-                RenameRequest::new(Some(int(4)), &[]),
-                RenameRequest::new(None, &[int(4)]), // store: anchored to r4's renaming
-            ])
-            .unwrap();
-        let dest = out.renamed[0].dest.unwrap().phys;
-        assert_eq!(out.renamed[1].anchor, dest);
-        assert_eq!(out.renamed[1].state_id, out.renamed[0].state_id);
+        let write = msp.rename(&RenameRequest::new(Some(int(4)), &[])).unwrap();
+        // A store: anchored to r4's renaming.
+        let store = msp.rename(&RenameRequest::new(None, &[int(4)])).unwrap();
+        assert_eq!(store.anchor, write.dest.unwrap().phys);
+        assert_eq!(store.state_id, write.state_id);
     }
 
     #[test]
     fn recovery_restores_anchor_and_counter() {
         let mut msp = MspStateManager::new(MspConfig::n_sp(8));
-        let out = msp
-            .rename_group(&[
-                RenameRequest::new(Some(int(1)), &[]),
-                RenameRequest::new(Some(int(2)), &[]),
-            ])
+        let first = msp
+            .rename(&RenameRequest::new(Some(int(1)), &[]))
+            .unwrap()
+            .dest
             .unwrap();
-        let first = out.renamed[0].dest.unwrap();
+        msp.rename(&RenameRequest::new(Some(int(2)), &[])).unwrap();
         msp.recover(first.state_id);
         assert_eq!(msp.current_state(), first.state_id);
         // New non-allocating instructions anchor to r1's surviving renaming.
-        let out = msp
-            .rename_group(&[RenameRequest::new(None, &[int(1)])])
-            .unwrap();
-        assert_eq!(out.renamed[0].anchor, first.phys);
+        let out = msp.rename(&RenameRequest::new(None, &[int(1)])).unwrap();
+        assert_eq!(out.anchor, first.phys);
     }
 
     #[test]
     fn ideal_configuration_never_stalls_on_banks() {
         let mut msp = MspStateManager::new(MspConfig::ideal());
         for _ in 0..1000 {
-            msp.rename_group(&[RenameRequest::new(Some(int(3)), &[int(3)])])
+            msp.rename(&RenameRequest::new(Some(int(3)), &[int(3)]))
                 .unwrap();
         }
         assert_eq!(msp.stats().bank_full_stalls, 0);
@@ -1246,17 +1049,16 @@ mod tests {
     fn tiny_geometry_is_bank_count_agnostic() {
         let mut msp = MspStateManager::new(MspConfig::tiny(2, 3, 8));
         assert_eq!(msp.num_banks(), 2);
-        let out = msp
-            .rename_group(&[
-                RenameRequest::new(Some(int(1)), &[int(0)]),
-                RenameRequest::new(Some(int(0)), &[int(1)]),
-            ])
+        let first = msp
+            .rename(&RenameRequest::new(Some(int(1)), &[int(0)]))
+            .unwrap()
+            .dest
             .unwrap();
-        assert!(out.stall.is_none());
+        msp.rename(&RenameRequest::new(Some(int(0)), &[int(1)]))
+            .unwrap();
         msp.verify_occupancy().expect("healthy state");
-        let first = out.renamed[0].dest.unwrap();
         msp.mark_ready(first.phys);
-        msp.clock_commit();
+        msp.clock_commit(|_| {});
         let rec = msp.recover(first.state_id);
         assert_eq!(rec.released.len(), 1, "only the second renaming squashes");
         msp.verify_recovery(first.state_id)
@@ -1283,78 +1085,26 @@ mod tests {
         let mut a = MspStateManager::new(MspConfig::tiny(2, 3, 8));
         let mut b = MspStateManager::new(MspConfig::tiny(2, 3, 8));
         assert_eq!(fingerprint(&a), fingerprint(&b));
-        a.rename_group(&[RenameRequest::new(Some(int(1)), &[])])
-            .unwrap();
-        b.rename_group(&[RenameRequest::new(Some(int(1)), &[])])
-            .unwrap();
+        a.rename(&RenameRequest::new(Some(int(1)), &[])).unwrap();
+        b.rename(&RenameRequest::new(Some(int(1)), &[])).unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b));
         // Statistics do not disturb the canonical hash...
         b.stats();
         assert_eq!(fingerprint(&a), fingerprint(&b));
         // ...but a further allocation does.
-        b.rename_group(&[RenameRequest::new(Some(int(0)), &[])])
-            .unwrap();
+        b.rename(&RenameRequest::new(Some(int(0)), &[])).unwrap();
         assert_ne!(fingerprint(&a), fingerprint(&b));
-    }
-
-    /// The allocation-free single-instruction paths must be observationally
-    /// identical to the general group APIs the tests above exercise.
-    #[test]
-    fn rename_one_and_clock_commit_lcs_match_group_apis() {
-        let mut group = MspStateManager::new(MspConfig::n_sp(8));
-        let mut single = MspStateManager::new(MspConfig::n_sp(8));
-        let requests = [
-            RenameRequest::new(Some(int(1)), &[]),
-            RenameRequest::new(Some(int(2)), &[int(1)]),
-            RenameRequest::new(None, &[int(1), int(2)]),
-            RenameRequest::new(Some(int(1)), &[int(2), int(1)]),
-        ];
-        for request in &requests {
-            let a = group.rename_group(&[*request]).unwrap();
-            let b = single.rename_one(request).unwrap();
-            let a0 = &a.renamed[0];
-            assert_eq!(a0.state_id, b.state_id);
-            assert_eq!(a0.dest, b.dest);
-            assert_eq!(a0.anchor, b.anchor);
-            let inline_sources: Vec<SourceMapping> = b.sources.iter().flatten().copied().collect();
-            assert_eq!(a0.sources, inline_sources);
-            if let Some(dest) = b.dest {
-                group.mark_ready(dest.phys);
-                single.mark_ready(dest.phys);
-            }
-            let outcome = group.clock_commit();
-            let lcs = single.clock_commit_lcs();
-            assert_eq!(outcome.lcs, lcs);
-        }
-        assert_eq!(group.stats(), single.stats());
-        assert_eq!(group.lcs(), single.lcs());
-        // A full bank stalls identically through both paths.
-        let fill = |m: &mut MspStateManager| loop {
-            if m.rename_one(&RenameRequest::new(Some(int(7)), &[]))
-                .is_err()
-            {
-                break;
-            }
-        };
-        fill(&mut group);
-        fill(&mut single);
-        assert_eq!(
-            group.rename_group(&[RenameRequest::new(Some(int(7)), &[])]),
-            Err(RenameError::BankFull(int(7)))
-        );
-        assert_eq!(
-            single.rename_one(&RenameRequest::new(Some(int(7)), &[])),
-            Err(RenameError::BankFull(int(7)))
-        );
     }
 
     #[test]
     fn is_ready_and_outstanding_uses_queries() {
         let mut msp = MspStateManager::new(MspConfig::n_sp(8));
-        let out = msp
-            .rename_group(&[RenameRequest::new(Some(int(6)), &[])])
-            .unwrap();
-        let phys = out.renamed[0].dest.unwrap().phys;
+        let phys = msp
+            .rename(&RenameRequest::new(Some(int(6)), &[]))
+            .unwrap()
+            .dest
+            .unwrap()
+            .phys;
         assert!(!msp.is_ready(phys));
         msp.mark_ready(phys);
         assert!(msp.is_ready(phys));

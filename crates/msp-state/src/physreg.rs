@@ -39,11 +39,6 @@ impl PhysReg {
     pub fn logical(&self) -> ArchReg {
         ArchReg::from_flat_index(self.bank as usize)
     }
-
-    /// Flat index across the whole register file given a uniform bank size.
-    pub fn flat_index(&self, bank_size: usize) -> usize {
-        self.bank as usize * bank_size + self.slot as usize
-    }
 }
 
 impl fmt::Display for PhysReg {
@@ -62,7 +57,6 @@ mod tests {
         assert_eq!(p.bank(), 3);
         assert_eq!(p.slot(), 7);
         assert_eq!(p.logical(), ArchReg::int(3));
-        assert_eq!(p.flat_index(16), 3 * 16 + 7);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The banked physical register file and its port arbitration (Section 5.1).
+//! Port arbitration for the banked physical register file (Section 5.1).
 //!
 //! Because a bank holds only the renamings of a single logical register, an
 //! instruction never needs two source operands from the same bank, so one
@@ -7,54 +7,25 @@
 //! arbitration stage to the pipeline to resolve those conflicts, and the
 //! timing simulator charges the conflict as an extra cycle.
 
-use crate::physreg::PhysReg;
-
-/// Outcome of a port request in one cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortRequestOutcome {
-    /// The port was free and is now allocated to the requester.
-    Granted,
-    /// The bank's port is already in use this cycle; the requester must retry
-    /// next cycle (an arbitration stall).
-    Conflict,
-}
-
-impl PortRequestOutcome {
-    /// Whether the request was granted.
-    pub fn is_granted(self) -> bool {
-        matches!(self, PortRequestOutcome::Granted)
-    }
-}
-
 /// Per-cycle arbiter for the single read and single write port of each bank.
 #[derive(Debug, Clone)]
 pub struct PortArbiter {
-    banks: usize,
     read_busy: Vec<bool>,
     write_busy: Vec<bool>,
-    read_conflicts: u64,
-    write_conflicts: u64,
-    read_grants: u64,
-    write_grants: u64,
 }
 
 impl PortArbiter {
     /// Creates an arbiter for `banks` register banks.
     pub fn new(banks: usize) -> Self {
         PortArbiter {
-            banks,
             read_busy: vec![false; banks],
             write_busy: vec![false; banks],
-            read_conflicts: 0,
-            write_conflicts: 0,
-            read_grants: 0,
-            write_grants: 0,
         }
     }
 
     /// Number of banks managed.
     pub fn banks(&self) -> usize {
-        self.banks
+        self.read_busy.len()
     }
 
     /// Starts a new cycle: all ports become free again.
@@ -63,121 +34,17 @@ impl PortArbiter {
         self.write_busy.fill(false);
     }
 
-    /// Requests the read port of `bank` for this cycle.
-    pub fn request_read(&mut self, bank: usize) -> PortRequestOutcome {
-        if self.read_busy[bank] {
-            self.read_conflicts += 1;
-            PortRequestOutcome::Conflict
-        } else {
-            self.read_busy[bank] = true;
-            self.read_grants += 1;
-            PortRequestOutcome::Granted
-        }
+    /// Requests the read port of `bank` for this cycle. Returns whether it
+    /// was granted; on `false` the port is already in use this cycle and the
+    /// requester must retry next cycle (an arbitration stall).
+    pub fn request_read(&mut self, bank: usize) -> bool {
+        !std::mem::replace(&mut self.read_busy[bank], true)
     }
 
-    /// Requests the write port of `bank` for this cycle.
-    pub fn request_write(&mut self, bank: usize) -> PortRequestOutcome {
-        if self.write_busy[bank] {
-            self.write_conflicts += 1;
-            PortRequestOutcome::Conflict
-        } else {
-            self.write_busy[bank] = true;
-            self.write_grants += 1;
-            PortRequestOutcome::Granted
-        }
-    }
-
-    /// Total read-port conflicts observed.
-    pub fn read_conflicts(&self) -> u64 {
-        self.read_conflicts
-    }
-
-    /// Total write-port conflicts observed.
-    pub fn write_conflicts(&self) -> u64 {
-        self.write_conflicts
-    }
-
-    /// Total granted read requests.
-    pub fn read_grants(&self) -> u64 {
-        self.read_grants
-    }
-
-    /// Total granted write requests.
-    pub fn write_grants(&self) -> u64 {
-        self.write_grants
-    }
-
-    /// Fraction of all port requests that conflicted (0 when idle).
-    pub fn conflict_rate(&self) -> f64 {
-        let conflicts = self.read_conflicts + self.write_conflicts;
-        let total = conflicts + self.read_grants + self.write_grants;
-        if total == 0 {
-            0.0
-        } else {
-            conflicts as f64 / total as f64
-        }
-    }
-}
-
-/// Value storage for the banked physical register file.
-///
-/// One bank per logical register, `regs_per_bank` 64-bit entries per bank.
-/// The timing simulator stores speculative results here; the functional
-/// oracle remains authoritative for architectural values.
-#[derive(Debug, Clone)]
-pub struct BankedRegFile {
-    regs_per_bank: usize,
-    values: Vec<u64>,
-}
-
-impl BankedRegFile {
-    /// Creates a register file with `banks` banks of `regs_per_bank` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(banks: usize, regs_per_bank: usize) -> Self {
-        assert!(
-            banks > 0 && regs_per_bank > 0,
-            "register file dimensions must be non-zero"
-        );
-        BankedRegFile {
-            regs_per_bank,
-            values: vec![0; banks * regs_per_bank],
-        }
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.values.len() / self.regs_per_bank
-    }
-
-    /// Entries per bank.
-    pub fn regs_per_bank(&self) -> usize {
-        self.regs_per_bank
-    }
-
-    /// Total number of physical registers.
-    pub fn total_registers(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Reads a physical register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register is out of range.
-    pub fn read(&self, reg: PhysReg) -> u64 {
-        self.values[reg.flat_index(self.regs_per_bank)]
-    }
-
-    /// Writes a physical register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the register is out of range.
-    pub fn write(&mut self, reg: PhysReg, value: u64) {
-        self.values[reg.flat_index(self.regs_per_bank)] = value;
+    /// Requests the write port of `bank` for this cycle, with the same
+    /// result as [`PortArbiter::request_read`].
+    pub fn request_write(&mut self, bank: usize) -> bool {
+        !std::mem::replace(&mut self.write_busy[bank], true)
     }
 }
 
@@ -188,63 +55,21 @@ mod tests {
     #[test]
     fn arbiter_grants_one_access_per_bank_per_cycle() {
         let mut arb = PortArbiter::new(4);
-        assert!(arb.request_read(1).is_granted());
-        assert_eq!(arb.request_read(1), PortRequestOutcome::Conflict);
-        assert!(arb.request_read(2).is_granted());
-        assert!(
-            arb.request_write(1).is_granted(),
-            "read and write ports are independent"
-        );
-        assert_eq!(arb.request_write(1), PortRequestOutcome::Conflict);
-        assert_eq!(arb.read_conflicts(), 1);
-        assert_eq!(arb.write_conflicts(), 1);
-        assert_eq!(arb.read_grants(), 2);
-        assert_eq!(arb.write_grants(), 1);
+        assert_eq!(arb.banks(), 4);
+        assert!(arb.request_read(1));
+        assert!(!arb.request_read(1), "the read port of bank 1 is taken");
+        assert!(arb.request_read(2));
+        assert!(arb.request_write(1), "read and write ports are independent");
+        assert!(!arb.request_write(1), "the write port of bank 1 is taken");
     }
 
     #[test]
     fn arbiter_resets_each_cycle() {
         let mut arb = PortArbiter::new(2);
-        assert!(arb.request_read(0).is_granted());
+        assert!(arb.request_read(0));
+        assert!(arb.request_write(0));
         arb.begin_cycle();
-        assert!(arb.request_read(0).is_granted());
-        assert_eq!(arb.read_conflicts(), 0);
-    }
-
-    #[test]
-    fn conflict_rate_is_a_fraction() {
-        let mut arb = PortArbiter::new(1);
-        assert_eq!(arb.conflict_rate(), 0.0);
-        arb.request_read(0);
-        arb.request_read(0);
-        assert!((arb.conflict_rate() - 0.5).abs() < 1e-9);
-        assert_eq!(arb.banks(), 1);
-    }
-
-    #[test]
-    fn regfile_read_write_roundtrip() {
-        let mut rf = BankedRegFile::new(64, 16);
-        assert_eq!(rf.banks(), 64);
-        assert_eq!(rf.regs_per_bank(), 16);
-        assert_eq!(rf.total_registers(), 1024);
-        let reg = PhysReg::new(5, 3);
-        assert_eq!(rf.read(reg), 0);
-        rf.write(reg, 0xabcd);
-        assert_eq!(rf.read(reg), 0xabcd);
-        // A different slot in the same bank is unaffected.
-        assert_eq!(rf.read(PhysReg::new(5, 4)), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn regfile_out_of_range_panics() {
-        let rf = BankedRegFile::new(2, 4);
-        let _ = rf.read(PhysReg::new(2, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn regfile_zero_dimensions_panic() {
-        let _ = BankedRegFile::new(0, 4);
+        assert!(arb.request_read(0));
+        assert!(arb.request_write(0));
     }
 }

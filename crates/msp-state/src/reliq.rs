@@ -4,9 +4,11 @@
 //! physical register with a bit matrix: one row per physical register in a
 //! bank, one column per instruction-queue slot. During source renaming the
 //! bit `(register, iq_slot)` is set; when the instruction issues and reads the
-//! register the bit is cleared; on a squash the whole column of the cancelled
-//! instruction is cleared. The OR of a row (together with the Ready bit)
-//! produces the `RelIQ` signal used by the Release Pointer logic.
+//! register the bit is cleared; on a squash the column of the cancelled
+//! instruction is cleared (the manager records which bits each slot set, so
+//! it clears just those; see `MspStateManager::clear_iq_slot`). The OR of a
+//! row (together with the Ready bit) produces the `RelIQ` signal used by the
+//! Release Pointer logic.
 //!
 //! The same matrix also records instructions that *belong to* a state without
 //! writing a register (stores, branches): they set a bit in the row of the
@@ -94,16 +96,6 @@ impl RelIq {
             .sum()
     }
 
-    /// Clears an entire column: used when the instruction in `iq_slot` is
-    /// squashed by a misprediction or exception recovery (Section 3.4).
-    pub fn clear_column(&mut self, iq_slot: usize) {
-        let col_word = iq_slot / 64;
-        let mask = !(1u64 << (iq_slot % 64));
-        for row in 0..self.rows {
-            self.bits[row * self.words_per_row + col_word] &= mask;
-        }
-    }
-
     /// Clears an entire row: used when the physical register is released.
     pub fn clear_row(&mut self, row: usize) {
         let start = row * self.words_per_row;
@@ -144,20 +136,6 @@ mod tests {
         assert!(m.any_use(2));
         m.clear_use(2, 47);
         assert!(!m.any_use(2));
-    }
-
-    #[test]
-    fn squash_clears_column_across_rows() {
-        let mut m = RelIq::new(8, 128);
-        for row in 0..8 {
-            m.set_use(row, 100);
-            m.set_use(row, 3);
-        }
-        m.clear_column(100);
-        for row in 0..8 {
-            assert!(!m.is_set(row, 100));
-            assert!(m.is_set(row, 3));
-        }
     }
 
     #[test]

@@ -325,7 +325,7 @@ impl Sct {
     /// The StateId of the **second-oldest** live entry as a raw `u64`, or
     /// `u64::MAX` when fewer than two entries are live.
     ///
-    /// This is the bank's *release gate*: [`Sct::release_committed_with`]
+    /// This is the bank's *release gate*: [`Sct::release_committed`]
     /// frees a register exactly when at least two entries are older than the
     /// LCS (the youngest committed entry always survives as the
     /// architectural mapping), i.e. exactly when this value is `< lcs`. The
@@ -342,18 +342,9 @@ impl Sct {
 
     /// Releases committed physical registers: every valid entry with
     /// `StateId < lcs` **except the youngest such entry**, which remains the
-    /// committed architectural mapping of the logical register. Returns the
-    /// released slots, oldest first.
-    pub fn release_committed(&mut self, lcs: StateId) -> Vec<usize> {
-        let mut released = Vec::new();
-        self.release_committed_with(lcs, |slot| released.push(slot));
-        released
-    }
-
-    /// Allocation-free variant of [`Sct::release_committed`]: invokes
-    /// `on_release` for each released slot, oldest first. This is the
-    /// per-cycle path of the timing simulator.
-    pub fn release_committed_with(&mut self, lcs: StateId, mut on_release: impl FnMut(usize)) {
+    /// committed architectural mapping of the logical register. Calls
+    /// `on_release` with each released slot, oldest first.
+    pub fn release_committed(&mut self, lcs: StateId, mut on_release: impl FnMut(usize)) {
         // Count how many of the oldest entries are older than the LCS.
         let mut committed = 0;
         for i in 0..self.live {
@@ -549,7 +540,8 @@ mod tests {
         sct.allocate(StateId::new(9)).unwrap(); // still speculative
                                                 // LCS = 5: states 0, 1, 3 are committed; entry for state 3 must stay
                                                 // as the architectural mapping, entries 0 and 1 are released.
-        let released = sct.release_committed(StateId::new(5));
+        let mut released = Vec::new();
+        sct.release_committed(StateId::new(5), |slot| released.push(slot));
         assert_eq!(released.len(), 2);
         assert_eq!(sct.live_entries(), 2);
         let states: Vec<u64> = sct
@@ -563,7 +555,8 @@ mod tests {
     fn commit_with_no_committed_entries_is_a_no_op() {
         let mut sct = Sct::new(0, 4);
         sct.allocate(StateId::new(10)).unwrap();
-        let released = sct.release_committed(StateId::new(5));
+        let mut released = Vec::new();
+        sct.release_committed(StateId::new(5), |slot| released.push(slot));
         assert!(released.is_empty());
         assert_eq!(sct.live_entries(), 2);
     }
@@ -628,7 +621,7 @@ mod tests {
         for s in 1..=3u64 {
             sct.allocate(StateId::new(s)).unwrap();
         }
-        sct.release_committed(StateId::new(10));
+        sct.release_committed(StateId::new(10), |_| {});
         assert_eq!(sct.live_entries(), 1);
         for s in 11..=13u64 {
             sct.allocate(StateId::new(s)).unwrap();
@@ -670,7 +663,7 @@ mod tests {
         // Committing past state 6 leaves the state-6 renaming as the oldest
         // live (architectural) mapping; recovering to state 5 would squash a
         // committed state and must trip the precondition check.
-        sct.release_committed(StateId::new(7));
+        sct.release_committed(StateId::new(7), |_| {});
         let _ = sct.recover(StateId::new(5));
     }
 
@@ -706,7 +699,7 @@ mod tests {
                     6 | 7 => {
                         let lcs = committed_up_to.max(next_state.saturating_sub(2));
                         committed_up_to = lcs;
-                        sct.release_committed(StateId::new(lcs));
+                        sct.release_committed(StateId::new(lcs), |_| {});
                     }
                     // recover to a state between the committed point and now
                     _ => {

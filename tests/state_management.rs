@@ -21,26 +21,25 @@ fn full_program_renames_and_commits_through_the_manager() {
         let record = execute_step(&mut arch, &program).expect("program is well formed");
         let sources: Vec<ArchReg> = record.inst.sources().collect();
         let request = RenameRequest::new(record.inst.dest(), &sources);
-        let outcome = loop {
-            match manager.rename_group(&[request]) {
-                Ok(outcome) => break outcome,
+        let renamed = loop {
+            match manager.rename(&request) {
+                Ok(renamed) => break renamed,
                 Err(RenameError::BankFull(_)) => {
                     // Let the commit machinery free registers and retry.
-                    manager.clock_commit();
+                    manager.clock_commit(|_| {});
                 }
-                Err(other) => panic!("unexpected rename error: {other}"),
             }
         };
-        if let Some(dest) = outcome.renamed[0].dest {
+        if let Some(dest) = renamed.dest {
             writes += 1;
             manager.mark_ready(dest.phys);
         }
-        manager.clock_commit();
+        manager.clock_commit(|_| {});
     }
     assert_eq!(manager.stats().states_allocated, writes);
     // Drain the commit pipeline (the configured LCS delay is one cycle).
     for _ in 0..4 {
-        manager.clock_commit();
+        manager.clock_commit(|_| {});
     }
     assert_eq!(
         manager.lcs(),
@@ -59,20 +58,18 @@ fn recovery_releases_and_reuses_registers() {
     // Fill r5's bank completely (3 renamings + architectural entry).
     for _ in 0..3 {
         manager
-            .rename_group(&[RenameRequest::new(Some(r(5)), &[])])
+            .rename(&RenameRequest::new(Some(r(5)), &[]))
             .expect("bank has room");
     }
     assert!(matches!(
-        manager.rename_group(&[RenameRequest::new(Some(r(5)), &[])]),
+        manager.rename(&RenameRequest::new(Some(r(5)), &[])),
         Err(RenameError::BankFull(_))
     ));
     // Recover to the first renaming: two registers come back.
     let recovery = manager.recover(StateId::new(1));
     assert_eq!(recovery.released.len(), 2);
     // The bank can immediately absorb new renamings again.
-    assert!(manager
-        .rename_group(&[RenameRequest::new(Some(r(5)), &[])])
-        .is_ok());
+    assert!(manager.rename(&RenameRequest::new(Some(r(5)), &[])).is_ok());
     assert_eq!(manager.stats().recoveries, 1);
 }
 
@@ -174,9 +171,9 @@ mod random_recovery {
                 .map(|r| ledger[&manager.source_mapping(*r).phys])
                 .collect();
             let request = RenameRequest::new(Some(ArchReg::from_flat_index(bank)), &sources);
-            match manager.rename_group(&[request]) {
-                Ok(outcome) => {
-                    let dest = outcome.renamed[0].dest.expect("request has a destination");
+            match manager.rename(&request) {
+                Ok(renamed) => {
+                    let dest = renamed.dest.expect("request has a destination");
                     let value = mix(pc as u64, &src_values);
                     ledger.insert(dest.phys, value);
                     history.push((dest.state_id, bank, value));
@@ -187,16 +184,15 @@ mod random_recovery {
                 Err(RenameError::BankFull(_)) => {
                     // Let the commit machinery free registers; the step's
                     // rename is simply dropped (a stalled dispatch).
-                    for released in manager.clock_commit().released {
+                    manager.clock_commit(|released| {
                         ledger.remove(&released);
-                    }
+                    });
                 }
-                Err(other) => panic!("unexpected rename error: {other}"),
             }
             if commit_sel == 0 {
-                for released in manager.clock_commit().released {
+                manager.clock_commit(|released| {
                     ledger.remove(&released);
-                }
+                });
             }
             // A recovery target must be at or above the committed floor
             // (older states are architectural already) and at or below the
@@ -241,9 +237,9 @@ mod random_recovery {
             manager.mark_ready(phys);
         }
         for _ in 0..steps.len() + 8 {
-            for released in manager.clock_commit().released {
+            manager.clock_commit(|released| {
                 ledger.remove(&released);
-            }
+            });
         }
         assert_eq!(manager.lcs(), manager.current_state().next());
         manager
