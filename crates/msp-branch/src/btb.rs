@@ -20,8 +20,6 @@ pub struct Btb {
     ways: usize,
     entries: Vec<BtbEntry>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Btb {
@@ -49,8 +47,6 @@ impl Btb {
                 sets * ways
             ],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -71,11 +67,9 @@ impl Btb {
         for e in &mut self.entries[range] {
             if e.valid && e.tag == pc {
                 e.lru = self.tick;
-                self.hits += 1;
                 return Some(e.target);
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -109,16 +103,6 @@ impl Btb {
         };
     }
 
-    /// Number of lookups that hit.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of lookups that missed.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Total entries in the BTB.
     pub fn capacity(&self) -> usize {
         self.sets * self.ways
@@ -135,8 +119,6 @@ mod tests {
         assert_eq!(btb.lookup(0x1000), None);
         btb.update(0x1000, 0x2000);
         assert_eq!(btb.lookup(0x1000), Some(0x2000));
-        assert_eq!(btb.hits(), 1);
-        assert_eq!(btb.misses(), 1);
     }
 
     #[test]

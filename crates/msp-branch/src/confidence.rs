@@ -16,8 +16,6 @@ pub struct ConfidenceEstimator {
     counter_bits: u32,
     threshold: u8,
     history: u64,
-    high_estimates: u64,
-    low_estimates: u64,
 }
 
 impl ConfidenceEstimator {
@@ -48,8 +46,6 @@ impl ConfidenceEstimator {
             counter_bits,
             threshold,
             history: 0,
-            high_estimates: 0,
-            low_estimates: 0,
         }
     }
 
@@ -66,14 +62,8 @@ impl ConfidenceEstimator {
 
     /// Whether the upcoming prediction for the branch at `pc` is
     /// high-confidence. CPR allocates a checkpoint when this returns `false`.
-    pub fn is_high_confidence(&mut self, pc: u64) -> bool {
-        let high = self.table[self.index(pc)] >= self.threshold;
-        if high {
-            self.high_estimates += 1;
-        } else {
-            self.low_estimates += 1;
-        }
-        high
+    pub fn is_high_confidence(&self, pc: u64) -> bool {
+        self.table[self.index(pc)] >= self.threshold
     }
 
     /// Trains the estimator: `correct` says whether the direction prediction
@@ -88,17 +78,6 @@ impl ConfidenceEstimator {
         }
         let mask = (1u64 << self.index_bits) - 1;
         self.history = ((self.history << 1) | u64::from(taken)) & mask;
-    }
-
-    /// Number of high-confidence estimates handed out so far.
-    pub fn high_estimates(&self) -> u64 {
-        self.high_estimates
-    }
-
-    /// Number of low-confidence estimates handed out so far (each of these
-    /// triggers a CPR checkpoint allocation attempt).
-    pub fn low_estimates(&self) -> u64 {
-        self.low_estimates
     }
 
     /// Storage used by the estimator, in bits.
@@ -142,15 +121,6 @@ mod tests {
         assert!(c.is_high_confidence(0x40));
         c.update(0x40, false, true);
         assert!(!c.is_high_confidence(0x40));
-    }
-
-    #[test]
-    fn estimate_counters_accumulate() {
-        let mut c = ConfidenceEstimator::paper();
-        let _ = c.is_high_confidence(0x10);
-        let _ = c.is_high_confidence(0x20);
-        assert_eq!(c.low_estimates(), 2);
-        assert_eq!(c.high_estimates(), 0);
     }
 
     #[test]

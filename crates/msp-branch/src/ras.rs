@@ -10,9 +10,6 @@ pub struct ReturnStack {
     entries: Vec<u64>,
     top: usize,
     depth: usize,
-    pushes: u64,
-    pops: u64,
-    underflows: u64,
 }
 
 impl ReturnStack {
@@ -27,9 +24,6 @@ impl ReturnStack {
             entries: vec![0; capacity],
             top: 0,
             depth: 0,
-            pushes: 0,
-            pops: 0,
-            underflows: 0,
         }
     }
 
@@ -48,20 +42,17 @@ impl ReturnStack {
         self.top = (self.top + 1) % self.entries.len();
         self.entries[self.top] = return_address;
         self.depth = (self.depth + 1).min(self.entries.len());
-        self.pushes += 1;
     }
 
     /// Pops the predicted return target (on a predicted return). Returns
-    /// `None` when the stack is empty (an underflow, counted in the stats).
+    /// `None` when the stack is empty (an underflow).
     pub fn pop(&mut self) -> Option<u64> {
         if self.depth == 0 {
-            self.underflows += 1;
             return None;
         }
         let value = self.entries[self.top];
         self.top = (self.top + self.entries.len() - 1) % self.entries.len();
         self.depth -= 1;
-        self.pops += 1;
         Some(value)
     }
 
@@ -70,21 +61,6 @@ impl ReturnStack {
     pub fn clear(&mut self) {
         self.depth = 0;
         self.top = 0;
-    }
-
-    /// Number of underflowed pops.
-    pub fn underflows(&self) -> u64 {
-        self.underflows
-    }
-
-    /// Total pushes performed.
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Total successful pops performed.
-    pub fn pops(&self) -> u64 {
-        self.pops
     }
 }
 
@@ -108,10 +84,10 @@ mod tests {
         assert_eq!(ras.pop(), Some(0x300));
         assert_eq!(ras.pop(), Some(0x200));
         assert_eq!(ras.pop(), Some(0x100));
+        // Three pushes, three pops: the fourth pop underflows.
+        assert_eq!(ras.depth(), 0);
         assert_eq!(ras.pop(), None);
-        assert_eq!(ras.underflows(), 1);
-        assert_eq!(ras.pushes(), 3);
-        assert_eq!(ras.pops(), 3);
+        assert_eq!(ras.depth(), 0);
     }
 
     #[test]

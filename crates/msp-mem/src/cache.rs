@@ -50,31 +50,6 @@ impl CacheConfig {
     }
 }
 
-/// Hit/miss statistics of a cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Number of accesses that hit.
-    pub hits: u64,
-    /// Number of accesses that missed.
-    pub misses: u64,
-}
-
-impl CacheStats {
-    /// Total accesses.
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Miss rate in `[0, 1]` (0 when there were no accesses).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
@@ -104,7 +79,6 @@ pub struct Cache {
     set_shift: u32,
     lines: Vec<Line>,
     tick: u64,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -137,18 +111,12 @@ impl Cache {
             set_shift: sets.trailing_zeros(),
             lines: vec![Line { tag: 0, lru: 0 }; sets * config.ways],
             tick: 0,
-            stats: CacheStats::default(),
         }
     }
 
     /// The configuration of this cache.
     pub fn config(&self) -> CacheConfig {
         self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
     }
 
     fn set_of(&self, addr: u64) -> usize {
@@ -177,7 +145,6 @@ impl Cache {
         for (way, line) in ways.iter_mut().enumerate() {
             if line.lru != 0 && line.tag == tag {
                 line.lru = self.tick;
-                self.stats.hits += 1;
                 return true;
             }
             // An invalid line's `lru` is 0: the oldest age there is.
@@ -186,7 +153,6 @@ impl Cache {
                 victim = way;
             }
         }
-        self.stats.misses += 1;
         ways[victim] = Line {
             tag,
             lru: self.tick,
@@ -194,7 +160,7 @@ impl Cache {
         false
     }
 
-    /// Checks for presence without updating LRU state or statistics.
+    /// Checks for presence without updating LRU state.
     pub fn probe(&self, addr: u64) -> bool {
         let set = self.set_of(addr);
         let tag = self.tag_of(addr);
@@ -243,8 +209,6 @@ mod tests {
         assert!(c.access(0x100));
         assert!(c.access(0x10f), "same 16-byte line");
         assert!(!c.access(0x110), "next line misses");
-        assert_eq!(c.stats().hits, 2);
-        assert_eq!(c.stats().misses, 2);
     }
 
     #[test]
@@ -264,10 +228,16 @@ mod tests {
     fn probe_does_not_change_state() {
         let mut c = tiny();
         assert!(!c.probe(0x200));
-        assert_eq!(c.stats().accesses(), 0);
-        c.access(0x200);
+        // The probe allocated nothing: the first access still misses.
+        assert!(!c.access(0x200));
         assert!(c.probe(0x200));
-        assert_eq!(c.stats().accesses(), 1);
+        // Nor does a probe refresh LRU: 0x010 stays the victim of its set.
+        c.access(0x010);
+        c.access(0x050);
+        assert!(c.probe(0x010));
+        c.access(0x090);
+        assert!(!c.probe(0x010));
+        assert!(c.probe(0x050));
     }
 
     #[test]
@@ -276,17 +246,6 @@ mod tests {
         c.access(0x300);
         c.flush();
         assert!(!c.probe(0x300));
-    }
-
-    #[test]
-    fn miss_rate_computation() {
-        let mut c = tiny();
-        assert_eq!(c.stats().miss_rate(), 0.0);
-        c.access(0);
-        c.access(0);
-        c.access(0);
-        c.access(0x1000);
-        assert!((c.stats().miss_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

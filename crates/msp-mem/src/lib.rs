@@ -31,7 +31,7 @@ mod hierarchy;
 mod loadqueue;
 mod storequeue;
 
-pub use cache::{Cache, CacheConfig, CacheStats};
+pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{MemoryConfig, MemoryHierarchy};
 pub use loadqueue::LoadQueue;
 pub use storequeue::{

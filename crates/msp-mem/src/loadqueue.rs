@@ -8,7 +8,6 @@
 pub struct LoadQueue {
     capacity: usize,
     entries: Vec<u64>,
-    full_stalls: u64,
 }
 
 impl LoadQueue {
@@ -22,7 +21,6 @@ impl LoadQueue {
         LoadQueue {
             capacity,
             entries: Vec::with_capacity(capacity),
-            full_stalls: 0,
         }
     }
 
@@ -44,16 +42,6 @@ impl LoadQueue {
     /// Whether the queue is full (dispatch of another load must stall).
     pub fn is_full(&self) -> bool {
         self.entries.len() == self.capacity
-    }
-
-    /// Records a dispatch stall caused by a full load queue.
-    pub fn record_full_stall(&mut self) {
-        self.full_stalls += 1;
-    }
-
-    /// Number of recorded full-queue stalls.
-    pub fn full_stalls(&self) -> u64 {
-        self.full_stalls
     }
 
     /// Inserts the load with dynamic sequence number `seq`.
@@ -101,8 +89,6 @@ mod tests {
         assert!(lq.insert(2));
         assert!(lq.is_full());
         assert!(!lq.insert(3));
-        lq.record_full_stall();
-        assert_eq!(lq.full_stalls(), 1);
         assert_eq!(lq.len(), 2);
     }
 

@@ -90,7 +90,7 @@ pub trait StoreQueue {
 
     /// Searches for the youngest store older than `seq` whose footprint
     /// overlaps `[addr, addr + width)`.
-    fn forward(&mut self, addr: u64, width: u64, seq: u64) -> ForwardResult;
+    fn forward(&self, addr: u64, width: u64, seq: u64) -> ForwardResult;
 
     /// Removes and returns (in program order) every store whose tag is
     /// strictly below `tag_limit`; the caller writes them to memory.
@@ -320,7 +320,7 @@ impl StoreQueue for SimpleStoreQueue {
         true
     }
 
-    fn forward(&mut self, addr: u64, width: u64, seq: u64) -> ForwardResult {
+    fn forward(&self, addr: u64, width: u64, seq: u64) -> ForwardResult {
         if !self.filter.may_overlap(addr, width) {
             return ForwardResult::Miss { latency: 0 };
         }
@@ -372,7 +372,6 @@ pub struct HierarchicalStoreQueue {
     l2: VecDeque<StoreQueueEntry>,
     l1_filter: BlockFilter,
     l2_filter: BlockFilter,
-    l2_scans: u64,
 }
 
 impl HierarchicalStoreQueue {
@@ -396,7 +395,6 @@ impl HierarchicalStoreQueue {
             l2: VecDeque::new(),
             l1_filter: BlockFilter::new(l1_capacity),
             l2_filter: BlockFilter::new(l2_capacity),
-            l2_scans: 0,
         }
     }
 
@@ -409,11 +407,6 @@ impl HierarchicalStoreQueue {
     /// An effectively unbounded configuration for the ideal MSP.
     pub fn unbounded() -> Self {
         HierarchicalStoreQueue::new(1 << 20, 1 << 20, 0)
-    }
-
-    /// Number of forwarding searches that had to scan the L2 queue.
-    pub fn l2_scans(&self) -> u64 {
-        self.l2_scans
     }
 
     /// Occupancy of the level-1 queue.
@@ -446,7 +439,7 @@ impl StoreQueue for HierarchicalStoreQueue {
         true
     }
 
-    fn forward(&mut self, addr: u64, width: u64, seq: u64) -> ForwardResult {
+    fn forward(&self, addr: u64, width: u64, seq: u64) -> ForwardResult {
         if self.l1_filter.may_overlap(addr, width) {
             if let Some(e) = search_youngest_older(&self.l1, addr, width, seq) {
                 return ForwardResult::Hit {
@@ -461,7 +454,6 @@ impl StoreQueue for HierarchicalStoreQueue {
         // Have to scan the large second-level queue. (The architectural scan
         // and its latency happen regardless; the filter only lets the
         // simulator skip walking entries that provably cannot match.)
-        self.l2_scans += 1;
         if !self.l2_filter.may_overlap(addr, width) {
             return ForwardResult::Miss {
                 latency: self.l2_scan_latency,
@@ -598,7 +590,6 @@ mod tests {
                 latency: 3
             }
         );
-        assert_eq!(hsq.l2_scans(), 1);
         // A miss that had to scan the L2 also pays the scan latency.
         assert_eq!(
             hsq.forward(0x999000, 8, 100),

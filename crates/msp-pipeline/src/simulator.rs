@@ -99,6 +99,21 @@ struct InFlight {
     reg_released: bool,
 }
 
+impl InFlight {
+    /// The distinct register banks this MSP instruction reads, one per
+    /// source operand. Two operands in one bank are necessarily the same
+    /// physical register and read it once, so the bank's single read port
+    /// suffices: the rule both read-port arbitration and the register-file
+    /// read count follow.
+    fn msp_read_banks(&self) -> [Option<usize>; 2] {
+        let first = self.msp_source_bits[0].map(|(phys, _)| phys.bank());
+        let second = self.msp_source_bits[1]
+            .map(|(phys, _)| phys.bank())
+            .filter(|bank| Some(*bank) != first);
+        [first, second]
+    }
+}
+
 /// Inline per-producer wakeup-list capacity (see `InFlight::waiters`).
 const MAX_WAITERS: usize = 4;
 
@@ -1129,17 +1144,24 @@ impl<'p> Simulator<'p> {
             if let (Some(dest), false) = (inst.dest, inst.reg_released) {
                 self.free_counted_register(dest.class());
             }
-            let memory = &mut self.memory;
-            let activity = &mut self.stats.activity;
-            self.store_queue
-                .drain_committed_with(seq + 1, &mut |drained| {
-                    activity.dcache_accesses += 1;
-                    if !memory.store_commit(drained.addr) {
-                        activity.l2_accesses += 1;
-                    }
-                });
+            self.drain_committed_stores(seq + 1);
             retired += 1;
         }
+    }
+
+    /// Drains every committed store older than `boundary_seq` to memory:
+    /// one D-cache access each, plus an L2 access when the line was not
+    /// resident in the D-cache.
+    fn drain_committed_stores(&mut self, boundary_seq: u64) {
+        let memory = &mut self.memory;
+        let activity = &mut self.stats.activity;
+        self.store_queue
+            .drain_committed_with(boundary_seq, &mut |drained| {
+                activity.dcache_accesses += 1;
+                if !memory.store_commit(drained.addr) {
+                    activity.l2_accesses += 1;
+                }
+            });
     }
 
     /// Advances [`Simulator::done_prefix_seq`] towards `limit_seq` and
@@ -1191,15 +1213,7 @@ impl<'p> Simulator<'p> {
                     self.free_counted_register(dest.class());
                 }
             }
-            let memory = &mut self.memory;
-            let activity = &mut self.stats.activity;
-            self.store_queue
-                .drain_committed_with(boundary_seq, &mut |drained| {
-                    activity.dcache_accesses += 1;
-                    if !memory.store_commit(drained.addr) {
-                        activity.l2_accesses += 1;
-                    }
-                });
+            self.drain_committed_stores(boundary_seq);
             self.checkpoints.pop_front();
             self.stats.activity.checkpoint_releases += 1;
         }
@@ -1214,15 +1228,7 @@ impl<'p> Simulator<'p> {
             while self.window.front().is_some() {
                 self.retire_front();
             }
-            let memory = &mut self.memory;
-            let activity = &mut self.stats.activity;
-            self.store_queue
-                .drain_committed_with(u64::MAX, &mut |drained| {
-                    activity.dcache_accesses += 1;
-                    if !memory.store_commit(drained.addr) {
-                        activity.l2_accesses += 1;
-                    }
-                });
+            self.drain_committed_stores(u64::MAX);
         }
     }
 
@@ -1256,15 +1262,7 @@ impl<'p> Simulator<'p> {
         // boundary is always safe.
         if retired_any {
             let boundary_seq = self.window.front().map_or(self.next_seq, |f| f.seq);
-            let memory = &mut self.memory;
-            let activity = &mut self.stats.activity;
-            self.store_queue
-                .drain_committed_with(boundary_seq, &mut |drained| {
-                    activity.dcache_accesses += 1;
-                    if !memory.store_commit(drained.addr) {
-                        activity.l2_accesses += 1;
-                    }
-                });
+            self.drain_committed_stores(boundary_seq);
         }
     }
 
@@ -1318,19 +1316,12 @@ impl<'p> Simulator<'p> {
             if *pool_used >= pool_size {
                 continue;
             }
-            // MSP read-port arbitration: one read port per bank per cycle.
-            // An instruction never needs two operands from the same bank
-            // (both would be the same physical register), so request each
-            // distinct bank once.
+            // MSP read-port arbitration: one read port per bank per cycle,
+            // requested once for each distinct source bank.
             if self.config.arbitration {
                 if let Backend::Msp { arbiter, .. } = &mut self.backend {
-                    let bits = &self.window[idx].msp_source_bits;
-                    let first = bits[0].map(|(phys, _)| phys.bank());
-                    let second = bits[1]
-                        .map(|(phys, _)| phys.bank())
-                        .filter(|bank| Some(*bank) != first);
                     let mut all_granted = true;
-                    for bank in [first, second].into_iter().flatten() {
+                    for bank in self.window[idx].msp_read_banks().into_iter().flatten() {
                         if !arbiter.request_read(bank) {
                             all_granted = false;
                         }
@@ -1361,24 +1352,19 @@ impl<'p> Simulator<'p> {
         // bank, exactly what the 1R-port arbitration rule charges. MSP
         // reads are attributed to the renamed physical bank; Baseline/CPR
         // reads to the logical register's flat index.
-        let mut read_banks = [None::<usize>, None];
-        match &self.backend {
-            Backend::Msp { .. } => {
-                let bits = &self.window[idx].msp_source_bits;
-                read_banks[0] = bits[0].map(|(phys, _)| phys.bank());
-                read_banks[1] = bits[1]
-                    .map(|(phys, _)| phys.bank())
-                    .filter(|bank| Some(*bank) != read_banks[0]);
-            }
+        let read_banks = match &self.backend {
+            Backend::Msp { .. } => self.window[idx].msp_read_banks(),
             Backend::Counted { .. } => {
+                let mut read_banks = [None, None];
                 for (slot, src) in rec.inst.sources().take(2).enumerate() {
                     let bank = src.flat_index();
                     if slot == 0 || read_banks[0] != Some(bank) {
                         read_banks[slot] = Some(bank);
                     }
                 }
+                read_banks
             }
-        }
+        };
         for bank in read_banks.into_iter().flatten() {
             self.stats.activity.rf_reads[bank] += 1;
         }
@@ -1534,7 +1520,6 @@ impl<'p> Simulator<'p> {
             return false;
         }
         if is_load && self.load_queue.is_full() {
-            self.load_queue.record_full_stall();
             self.stats.stalls.lq_full += 1;
             return false;
         }

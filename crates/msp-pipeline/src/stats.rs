@@ -1,6 +1,14 @@
 //! Simulation statistics: everything needed to regenerate the paper's
 //! figures (IPC, executed-instruction breakdown, stall attribution).
 //!
+//! [`SimStats`] is the only place a run counts anything. The components
+//! under the simulator report outcomes through what they return
+//! (`Cache::access` whether it hit, `Btb::lookup` and `ReturnStack::pop` an
+//! `Option`, `MspStateManager::rename` `Err(BankFull)`, `clock_commit` the
+//! LCS), and the simulator turns each outcome into one increment here, so
+//! every event is counted once. A new count is a counter in one of these
+//! blocks, never a field on a component.
+//!
 //! Each counter block ([`SimStats`], [`ExecutedBreakdown`],
 //! [`StallBreakdown`], [`ActivityCounters`]) lists its fields once, in a
 //! `counter_block!` invocation, which derives `Default` and the

@@ -21,7 +21,6 @@ pub struct LcsUnit {
     in_flight: VecDeque<StateId>,
     /// The value visible to the rest of the machine this cycle.
     visible: StateId,
-    comparisons: u64,
 }
 
 impl LcsUnit {
@@ -31,13 +30,7 @@ impl LcsUnit {
             delay,
             in_flight: VecDeque::with_capacity(delay + 1),
             visible: StateId::ZERO,
-            comparisons: 0,
         }
-    }
-
-    /// The configured propagation delay.
-    pub fn delay(&self) -> usize {
-        self.delay
     }
 
     /// The LCS value currently visible to the commit/release logic.
@@ -45,46 +38,13 @@ impl LcsUnit {
         self.visible
     }
 
-    /// Total number of pairwise comparisons performed (a proxy for the energy
-    /// of the comparator tree).
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Performs one clock cycle: reduces the per-bank contributions to their
-    /// minimum (banks that are idle contribute `None` and are skipped), using
-    /// `fallback` when every bank is idle (everything allocated so far can
-    /// commit). Returns the LCS value visible *this* cycle.
-    pub fn clock(
-        &mut self,
-        contributions: impl IntoIterator<Item = Option<StateId>>,
-        fallback: StateId,
-    ) -> StateId {
-        let mut min: Option<StateId> = None;
-        let mut active = 0u64;
-        for s in contributions.into_iter().flatten() {
-            active += 1;
-            min = Some(match min {
-                Some(m) if m <= s => m,
-                _ => s,
-            });
-        }
-        self.clock_reduced(min, active, fallback)
-    }
-
-    /// Performs one clock cycle from an **externally reduced** minimum: the
-    /// caller computed `min(StateId[RelP_i])` itself (over `active`
-    /// contributing banks) — typically as a branch-free sweep over a flat
-    /// cached array — and this unit only models the comparator tree's energy
-    /// count and propagation delay. Behaves exactly like [`LcsUnit::clock`]
-    /// fed the same contributions.
-    pub fn clock_reduced(
-        &mut self,
-        minimum: Option<StateId>,
-        active: u64,
-        fallback: StateId,
-    ) -> StateId {
-        self.comparisons += active;
+    /// Performs one clock cycle. The caller reduces the per-bank
+    /// contributions itself: `minimum` is `min(StateId[RelP_i])` over the
+    /// banks that are not idle, or `None` when every bank is idle, in which
+    /// case `fallback` (everything allocated so far can commit) is the
+    /// computed value. This unit models the comparator tree's propagation
+    /// delay. Returns the LCS value visible *this* cycle.
+    pub fn clock(&mut self, minimum: Option<StateId>, fallback: StateId) -> StateId {
         let computed = minimum.unwrap_or(fallback);
         if self.delay == 0 {
             self.visible = computed;
@@ -112,9 +72,8 @@ impl LcsUnit {
         self.in_flight.len()
     }
 
-    /// Feeds the visible value and the in-flight pipeline into `hasher`,
-    /// excluding the monotone comparison counter. Used by the model
-    /// checker's visited-state dedup.
+    /// Feeds the visible value and the in-flight pipeline into `hasher`.
+    /// Used by the model checker's visited-state dedup.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, hasher: &mut H) {
         use std::hash::Hash;
         self.visible.as_u64().hash(hasher);
@@ -133,10 +92,7 @@ mod tests {
     #[test]
     fn zero_delay_is_immediately_visible() {
         let mut lcs = LcsUnit::new(0);
-        let v = lcs.clock(
-            [Some(StateId::new(7)), Some(StateId::new(3))],
-            StateId::ZERO,
-        );
+        let v = lcs.clock(Some(StateId::new(3)), StateId::ZERO);
         assert_eq!(v, StateId::new(3));
         assert_eq!(lcs.current(), StateId::new(3));
     }
@@ -145,20 +101,20 @@ mod tests {
     fn delay_postpones_visibility() {
         let mut lcs = LcsUnit::new(2);
         assert_eq!(
-            lcs.clock([Some(StateId::new(5))], StateId::ZERO),
+            lcs.clock(Some(StateId::new(5)), StateId::ZERO),
             StateId::ZERO
         );
         assert_eq!(
-            lcs.clock([Some(StateId::new(6))], StateId::ZERO),
+            lcs.clock(Some(StateId::new(6)), StateId::ZERO),
             StateId::ZERO
         );
         // The value computed two cycles ago (5) becomes visible now.
         assert_eq!(
-            lcs.clock([Some(StateId::new(7))], StateId::ZERO),
+            lcs.clock(Some(StateId::new(7)), StateId::ZERO),
             StateId::new(5)
         );
         assert_eq!(
-            lcs.clock([Some(StateId::new(8))], StateId::ZERO),
+            lcs.clock(Some(StateId::new(8)), StateId::ZERO),
             StateId::new(6)
         );
     }
@@ -166,9 +122,11 @@ mod tests {
     #[test]
     fn idle_banks_are_skipped_and_fallback_used() {
         let mut lcs = LcsUnit::new(0);
-        let v = lcs.clock([None, Some(StateId::new(9)), None], StateId::new(100));
+        // Some bank is active: its minimum wins over the fallback.
+        let v = lcs.clock(Some(StateId::new(9)), StateId::new(100));
         assert_eq!(v, StateId::new(9));
-        let v = lcs.clock([None, None], StateId::new(42));
+        // Every bank is idle: the fallback is the computed value.
+        let v = lcs.clock(None, StateId::new(42));
         assert_eq!(v, StateId::new(42));
     }
 
@@ -176,50 +134,45 @@ mod tests {
     fn flush_discards_in_flight_values() {
         let mut lcs = LcsUnit::new(3);
         for i in 0..3 {
-            lcs.clock([Some(StateId::new(100 + i))], StateId::ZERO);
+            lcs.clock(Some(StateId::new(100 + i)), StateId::ZERO);
         }
         lcs.flush(StateId::new(4));
         assert_eq!(lcs.current(), StateId::new(4));
+        assert_eq!(lcs.pending(), 0);
         // The next computed value goes through a fresh pipeline.
         assert_eq!(
-            lcs.clock([Some(StateId::new(50))], StateId::ZERO),
+            lcs.clock(Some(StateId::new(50)), StateId::ZERO),
             StateId::new(4)
         );
     }
 
-    #[test]
-    fn comparisons_are_counted() {
-        let mut lcs = LcsUnit::new(0);
-        lcs.clock(
-            [Some(StateId::new(1)), Some(StateId::new(2)), None],
-            StateId::ZERO,
-        );
-        lcs.clock([Some(StateId::new(3))], StateId::ZERO);
-        assert_eq!(lcs.comparisons(), 3);
-        assert_eq!(lcs.delay(), 0);
-    }
-
     proptest! {
         /// With delay d, the visible value after k > d clocks equals the
-        /// minimum computed d cycles earlier, for arbitrary input sequences.
+        /// value computed d cycles earlier, for arbitrary input sequences.
+        /// A round may have every bank idle, in which case its computed
+        /// value is that round's fallback.
         #[test]
         fn delayed_value_matches_history(
-            inputs in proptest::collection::vec(proptest::collection::vec(0u64..1000, 1..8), 1..40),
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec(0u64..1000, 0..8), 0u64..1000),
+                1..40,
+            ),
             delay in 0usize..4,
         ) {
             let mut lcs = LcsUnit::new(delay);
             let mut history = Vec::new();
-            for round in &inputs {
-                let contribs: Vec<Option<StateId>> = round.iter().map(|v| Some(StateId::new(*v))).collect();
-                let computed_min = StateId::new(*round.iter().min().unwrap());
-                history.push(computed_min);
-                let visible = lcs.clock(contribs, StateId::ZERO);
-                let idx = history.len().checked_sub(delay + 1);
-                match idx {
-                    Some(i) if delay > 0 => prop_assert_eq!(visible, history[i]),
-                    _ if delay == 0 => prop_assert_eq!(visible, computed_min),
-                    _ => prop_assert_eq!(visible, StateId::ZERO),
-                }
+            for (round, fallback) in &rounds {
+                let minimum = round.iter().min().map(|v| StateId::new(*v));
+                let fallback = StateId::new(*fallback);
+                history.push(minimum.unwrap_or(fallback));
+                let visible = lcs.clock(minimum, fallback);
+                // The value computed `delay` rounds ago, or the reset value
+                // while the pipeline is still filling.
+                let expected = history
+                    .len()
+                    .checked_sub(delay + 1)
+                    .map_or(StateId::ZERO, |i| history[i]);
+                prop_assert_eq!(visible, expected);
             }
         }
     }

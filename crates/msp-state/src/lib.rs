@@ -68,7 +68,7 @@ mod stateid;
 
 pub use lcs::LcsUnit;
 pub use manager::{
-    MspConfig, MspStateManager, MspStats, RecoveryOutcome, RenameError, RenameRequest, RenamedDest,
+    MspConfig, MspStateManager, RecoveryOutcome, RenameError, RenameRequest, RenamedDest,
     RenamedInst, SourceMapping,
 };
 pub use physreg::PhysReg;

@@ -194,27 +194,6 @@ pub struct RecoveryOutcome {
     pub released: Vec<PhysReg>,
 }
 
-/// Aggregate statistics of an [`MspStateManager`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MspStats {
-    /// Instructions renamed (allocating or not).
-    pub instructions_renamed: u64,
-    /// Processor states (destination registers) allocated.
-    pub states_allocated: u64,
-    /// States committed through the LCS mechanism.
-    pub states_committed: u64,
-    /// Physical registers released by commit.
-    pub registers_released: u64,
-    /// Precise recoveries performed.
-    pub recoveries: u64,
-    /// Physical registers released by recoveries.
-    pub registers_squashed: u64,
-    /// Rename attempts rejected because a bank was full.
-    pub bank_full_stalls: u64,
-    /// Saturation-bit epoch resets of the hardware StateId counter.
-    pub epoch_resets: u64,
-}
-
 /// The complete MSP state-management mechanism: one SCT and RelIQ matrix per
 /// logical register, the global StateId counter and the LCS unit.
 ///
@@ -245,7 +224,6 @@ pub struct MspStateManager {
     /// Cached per-bank release gate ([`Sct::second_oldest_state`]), valid
     /// for every clean bank and refreshed whenever a bank releases.
     release_gate: Vec<u64>,
-    stats: MspStats,
 }
 
 const _: () = assert!(
@@ -291,7 +269,6 @@ impl MspStateManager {
             dirty_banks: all_banks_dirty(config.banks),
             contrib_cache: vec![u64::MAX; config.banks],
             release_gate: vec![u64::MAX; config.banks],
-            stats: MspStats::default(),
             config,
         }
     }
@@ -317,13 +294,6 @@ impl MspStateManager {
         self.config.total_registers()
     }
 
-    /// Statistics accumulated so far.
-    pub fn stats(&self) -> MspStats {
-        let mut stats = self.stats;
-        stats.epoch_resets = self.counter.epoch_resets();
-        stats
-    }
-
     /// Marks a bank's commit-clock caches as stale. Every mutation that can
     /// change a bank's Release-Pointer progress or LCS contribution funnels
     /// through this, which is what keeps the incremental
@@ -331,22 +301,6 @@ impl MspStateManager {
     #[inline]
     fn mark_bank_dirty(&mut self, bank: usize) {
         self.dirty_banks |= 1u64 << bank;
-    }
-
-    /// Rename stalls caused by a specific logical register's bank being full
-    /// (the per-register stall bars of Figs. 6–8).
-    pub fn bank_full_stalls(&self, reg: ArchReg) -> u64 {
-        self.scts[reg.flat_index()].full_stalls()
-    }
-
-    /// Stall counts for every bank, largest first.
-    pub fn bank_full_stalls_ranked(&self) -> Vec<(ArchReg, u64)> {
-        let mut v: Vec<(ArchReg, u64)> = ArchReg::all()
-            .filter(|r| r.flat_index() < self.scts.len())
-            .map(|r| (r, self.bank_full_stalls(r)))
-            .collect();
-        v.sort_by_key(|(_, stalls)| std::cmp::Reverse(*stalls));
-        v
     }
 
     /// Number of free physical registers remaining in a logical register's
@@ -387,15 +341,12 @@ impl MspStateManager {
             Some(reg) => {
                 let bank = reg.flat_index();
                 if self.scts[bank].is_full() {
-                    self.scts[bank].record_full_stall();
-                    self.stats.bank_full_stalls += 1;
                     return Err(RenameError::BankFull(reg));
                 }
                 let (state, _reset) = self.counter.allocate();
                 let slot = self.scts[bank]
                     .allocate(state)
                     .expect("bank fullness checked above");
-                self.stats.states_allocated += 1;
                 self.mark_bank_dirty(bank);
                 let phys = PhysReg::new(bank, slot);
                 self.last_allocated = phys;
@@ -406,7 +357,6 @@ impl MspStateManager {
             }
             None => None,
         };
-        self.stats.instructions_renamed += 1;
         Ok(RenamedInst {
             state_id: self.counter.current(),
             dest,
@@ -464,11 +414,6 @@ impl MspStateManager {
         self.scts[reg.bank()].is_ready(reg.slot())
     }
 
-    /// Whether any in-flight instruction still uses `reg` (the RelIQ row OR).
-    pub fn has_outstanding_uses(&self, reg: PhysReg) -> bool {
-        self.reliqs[reg.bank()].any_use(reg.slot())
-    }
-
     /// Performs one commit/release cycle (Section 3.2.2): advances every
     /// bank's Release Pointer, recomputes the LCS, commits every state older
     /// than it and releases the corresponding physical registers, calling
@@ -495,24 +440,16 @@ impl MspStateManager {
         }
         // 2. Reduce the cached per-bank contributions to the LCS with a
         //    branch-free min over the flat cache (idle banks hold u64::MAX
-        //    and lose every comparison; they are excluded from the active
-        //    count the LCS unit's energy model sees).
+        //    and lose every comparison; when every bank is idle the LCS
+        //    unit computes the fallback instead).
         let fallback = self.counter.current().next();
-        let mut min = u64::MAX;
-        let mut active = 0u64;
-        for &v in &self.contrib_cache {
-            active += u64::from(v != u64::MAX);
-            min = min.min(v);
-        }
-        let lcs = self.lcs.clock_reduced(
-            (min != u64::MAX).then_some(StateId::new(min)),
-            active,
-            fallback,
-        );
+        let min = self.contrib_cache.iter().fold(u64::MAX, |m, &v| m.min(v));
+        let lcs = self
+            .lcs
+            .clock((min != u64::MAX).then_some(StateId::new(min)), fallback);
         // 3. Release committed registers, visiting only banks whose gate
         //    shows at least two entries older than the LCS (the exact
         //    condition under which `release_committed` frees anything).
-        let mut released_count = 0u64;
         let lcs_raw = lcs.as_u64();
         for bank in 0..self.scts.len() {
             if self.release_gate[bank] >= lcs_raw {
@@ -521,19 +458,15 @@ impl MspStateManager {
             let reliqs = &mut self.reliqs;
             self.scts[bank].release_committed(lcs, |slot| {
                 reliqs[bank].clear_row(slot);
-                released_count += 1;
                 on_release(PhysReg::new(bank, slot));
             });
             self.release_gate[bank] = self.scts[bank].second_oldest_state();
             self.dirty_banks |= 1u64 << bank;
         }
-        let newly_committed = lcs.as_u64().saturating_sub(self.committed_floor.as_u64());
         if lcs > self.committed_floor {
             self.committed_floor = lcs;
             self.counter.note_committed(lcs);
         }
-        self.stats.states_committed += newly_committed;
-        self.stats.registers_released += released_count;
         lcs
     }
 
@@ -578,8 +511,6 @@ impl MspStateManager {
                 StateId::new(self.lcs.current().as_u64().min(recovery_state.as_u64() + 1));
             self.lcs.flush(clamped);
         }
-        self.stats.recoveries += 1;
-        self.stats.registers_squashed += released.len() as u64;
         #[cfg(any(debug_assertions, feature = "invariant_audit"))]
         if let Err(violation) = self.verify_recovery(recovery_state) {
             panic!("post-recovery invariant audit failed: {violation}");
@@ -625,12 +556,12 @@ impl MspStateManager {
     }
 
     /// Feeds every behaviourally relevant bit of the manager into `hasher`,
-    /// excluding monotone statistics and derived caches. Two managers with
-    /// equal canonical hashes are (modulo hash collisions) indistinguishable
-    /// by any future sequence of operations — the property the model
-    /// checker's visited-state deduplication relies on. The cache exclusion
-    /// is sound because [`MspStateManager::verify_occupancy`] cross-checks
-    /// every clean bank's cache against a fresh derivation.
+    /// excluding derived caches. Two managers with equal canonical hashes
+    /// are (modulo hash collisions) indistinguishable by any future sequence
+    /// of operations — the property the model checker's visited-state
+    /// deduplication relies on. The cache exclusion is sound because
+    /// [`MspStateManager::verify_occupancy`] cross-checks every clean bank's
+    /// cache against a fresh derivation.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, hasher: &mut H) {
         use std::hash::Hash;
         for sct in &self.scts {
@@ -880,7 +811,7 @@ mod tests {
         assert_eq!(msp.current_state(), StateId::new(4));
         assert_eq!(msp.source_mapping(int(1)).phys, PhysReg::new(1, 1));
         assert_eq!(msp.source_mapping(int(2)).phys, PhysReg::new(2, 3));
-        assert_eq!(msp.stats().recoveries, 1);
+        assert_eq!(recovery.recovery_state, StateId::new(4));
     }
 
     #[test]
@@ -905,8 +836,8 @@ mod tests {
         assert_eq!(released.len(), 3);
         assert!(released.iter().all(|p| p.bank() == 3));
         assert_eq!(msp.source_mapping(int(3)).phys.slot(), 3);
-        assert_eq!(msp.stats().states_committed, 4);
-        assert_eq!(msp.stats().registers_released, 3);
+        // States 0 through 3 committed.
+        assert_eq!(msp.committed_floor(), StateId::new(4));
     }
 
     #[test]
@@ -926,7 +857,7 @@ mod tests {
         let mut released = Vec::new();
         let lcs = msp.clock_commit(|p| released.push(p));
         assert_eq!(lcs, StateId::new(1), "state 1 cannot commit yet");
-        assert_eq!(msp.stats().states_committed, 1);
+        assert_eq!(msp.committed_floor(), StateId::new(1));
         assert!(released.is_empty());
         // Once the consumer issues, the state commits.
         msp.clear_use(dest.phys, 9);
@@ -969,12 +900,16 @@ mod tests {
             .rename(&RenameRequest::new(Some(int(7)), &[]))
             .unwrap_err();
         assert_eq!(err, RenameError::BankFull(int(7)));
-        assert_eq!(msp.bank_full_stalls(int(7)), 1);
-        assert_eq!(msp.stats().bank_full_stalls, 1);
         assert_eq!(msp.free_registers(int(7)), 0);
         assert_eq!(err.to_string(), "no free physical register in bank r7");
-        let ranked = msp.bank_full_stalls_ranked();
-        assert_eq!(ranked[0], (int(7), 1));
+        // The stalled rename allocated no state, and so does every retry
+        // until a register is released.
+        assert_eq!(msp.current_state(), StateId::new(1));
+        assert_eq!(
+            msp.rename(&RenameRequest::new(Some(int(7)), &[])),
+            Err(RenameError::BankFull(int(7)))
+        );
+        assert_eq!(msp.current_state(), StateId::new(1));
     }
 
     #[test]
@@ -1025,8 +960,7 @@ mod tests {
             msp.rename(&RenameRequest::new(Some(int(3)), &[int(3)]))
                 .unwrap();
         }
-        assert_eq!(msp.stats().bank_full_stalls, 0);
-        assert_eq!(msp.stats().states_allocated, 1000);
+        assert_eq!(msp.current_state(), StateId::new(1000));
     }
 
     #[test]
@@ -1088,10 +1022,7 @@ mod tests {
         a.rename(&RenameRequest::new(Some(int(1)), &[])).unwrap();
         b.rename(&RenameRequest::new(Some(int(1)), &[])).unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b));
-        // Statistics do not disturb the canonical hash...
-        b.stats();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        // ...but a further allocation does.
+        // A further allocation changes the hash.
         b.rename(&RenameRequest::new(Some(int(0)), &[])).unwrap();
         assert_ne!(fingerprint(&a), fingerprint(&b));
     }
@@ -1108,10 +1039,11 @@ mod tests {
         assert!(!msp.is_ready(phys));
         msp.mark_ready(phys);
         assert!(msp.is_ready(phys));
-        assert!(!msp.has_outstanding_uses(phys));
+        let has_uses = |msp: &MspStateManager| msp.reliq(phys.bank()).any_use(phys.slot());
+        assert!(!has_uses(&msp));
         msp.note_use(phys, 3);
-        assert!(msp.has_outstanding_uses(phys));
+        assert!(has_uses(&msp));
         msp.clear_iq_slot(3);
-        assert!(!msp.has_outstanding_uses(phys));
+        assert!(!has_uses(&msp));
     }
 }

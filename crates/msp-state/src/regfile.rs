@@ -23,11 +23,6 @@ impl PortArbiter {
         }
     }
 
-    /// Number of banks managed.
-    pub fn banks(&self) -> usize {
-        self.read_busy.len()
-    }
-
     /// Starts a new cycle: all ports become free again.
     pub fn begin_cycle(&mut self) {
         self.read_busy.fill(false);
@@ -55,7 +50,6 @@ mod tests {
     #[test]
     fn arbiter_grants_one_access_per_bank_per_cycle() {
         let mut arb = PortArbiter::new(4);
-        assert_eq!(arb.banks(), 4);
         assert!(arb.request_read(1));
         assert!(!arb.request_read(1), "the read port of bank 1 is taken");
         assert!(arb.request_read(2));

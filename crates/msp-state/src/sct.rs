@@ -93,7 +93,6 @@ pub struct Sct {
     /// Whether the bank is idle (RenP == RelP and that entry is fully
     /// produced and consumed); idle banks are excluded from the LCS minimum.
     idle: bool,
-    stalls_full: u64,
 }
 
 impl Sct {
@@ -124,7 +123,6 @@ impl Sct {
             live: 1,
             rel_p: 0,
             idle: true,
-            stalls_full: 0,
         }
     }
 
@@ -165,16 +163,6 @@ impl Sct {
     /// Whether the bank has no free physical register.
     pub fn is_full(&self) -> bool {
         self.live == self.capacity
-    }
-
-    /// Number of renames that had to stall because the bank was full.
-    pub fn full_stalls(&self) -> u64 {
-        self.stalls_full
-    }
-
-    /// Records a stall caused by this bank being full.
-    pub fn record_full_stall(&mut self) {
-        self.stalls_full += 1;
     }
 
     /// Slot of the most recent renaming (the Rename Pointer, `RenP`). Source
@@ -423,8 +411,8 @@ impl Sct {
     }
 
     /// Feeds every behaviourally relevant bit of the table into `hasher`:
-    /// the pointer positions and the live entries, excluding the monotone
-    /// stall counter. Used by the model checker's visited-state dedup.
+    /// the pointer positions and the live entries. Used by the model
+    /// checker's visited-state dedup.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, hasher: &mut H) {
         use std::hash::Hash;
         (self.oldest, self.live, self.rel_p, self.idle).hash(hasher);
@@ -633,16 +621,6 @@ mod tests {
             .map(|(_, e)| e.state_id().as_u64())
             .collect();
         assert_eq!(states, vec![3, 11, 12, 13]);
-    }
-
-    #[test]
-    fn stall_counter_accumulates() {
-        let mut sct = Sct::new(0, 2);
-        sct.allocate(StateId::new(1)).unwrap();
-        assert!(sct.is_full());
-        sct.record_full_stall();
-        sct.record_full_stall();
-        assert_eq!(sct.full_stalls(), 2);
     }
 
     #[test]

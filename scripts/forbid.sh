@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Grep-lint for the recovery-critical crates: `.unwrap()` is forbidden in
-# non-test msp-state and msp-pipeline source. A panic inside the squash path
-# is a machine-killing failure mode the model checker cannot distinguish
-# from a genuine invariant violation, so fallible code there must use
-# expect() with an invariant message (self-documenting and allowlisted
-# below if ever needed) or propagate the error.
+# Grep-lint for the crates that run inside every simulated cycle: `.unwrap()`
+# is forbidden in non-test msp-state, msp-pipeline, msp-mem and msp-branch
+# source. A panic inside the squash path or a per-cycle structure is a
+# machine-killing failure mode the model checker cannot distinguish from a
+# genuine invariant violation, so fallible code there must use expect()
+# with an invariant message (self-documenting and allowlisted below if ever
+# needed) or propagate the error.
 #
 # Scanning rules:
 #   * only lines before the first `#[cfg(test)]` in each file are scanned
@@ -19,13 +20,14 @@ cd "$(dirname "$0")/.."
 allowlist=scripts/forbid_allowlist.txt
 status=0
 
-for file in crates/msp-state/src/*.rs crates/msp-pipeline/src/*.rs; do
+for file in crates/msp-state/src/*.rs crates/msp-pipeline/src/*.rs \
+    crates/msp-mem/src/*.rs crates/msp-branch/src/*.rs; do
     while IFS=: read -r line _; do
         [ -z "${line:-}" ] && continue
         if grep -qxF "$file:$line" "$allowlist" 2>/dev/null; then
             continue
         fi
-        echo "forbid: $file:$line: .unwrap() in non-test recovery-critical code" >&2
+        echo "forbid: $file:$line: .unwrap() in non-test per-cycle code" >&2
         sed -n "${line}p" "$file" >&2
         status=1
     done < <(awk '

@@ -36,7 +36,8 @@ fn full_program_renames_and_commits_through_the_manager() {
         }
         manager.clock_commit(|_| {});
     }
-    assert_eq!(manager.stats().states_allocated, writes);
+    // Every register-writing instruction allocated exactly one state.
+    assert_eq!(manager.current_state(), StateId::new(writes));
     // Drain the commit pipeline (the configured LCS delay is one cycle).
     for _ in 0..4 {
         manager.clock_commit(|_| {});
@@ -67,10 +68,12 @@ fn recovery_releases_and_reuses_registers() {
     ));
     // Recover to the first renaming: two registers come back.
     let recovery = manager.recover(StateId::new(1));
+    assert_eq!(recovery.recovery_state, StateId::new(1));
     assert_eq!(recovery.released.len(), 2);
+    assert_eq!(manager.current_state(), StateId::new(1));
     // The bank can immediately absorb new renamings again.
     assert!(manager.rename(&RenameRequest::new(Some(r(5)), &[])).is_ok());
-    assert_eq!(manager.stats().recoveries, 1);
+    assert_eq!(manager.current_state(), StateId::new(2));
 }
 
 /// The compact hardware StateId encoding stays consistent with the unbounded
