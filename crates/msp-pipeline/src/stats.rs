@@ -5,9 +5,9 @@
 //! under the simulator report outcomes through what they return
 //! (`Cache::access` whether it hit, `Btb::lookup` and `ReturnStack::pop` an
 //! `Option`, `MspStateManager::rename` `Err(BankFull)`, `clock_commit` the
-//! LCS), and the simulator turns each outcome into one increment here, so
-//! every event is counted once. A new count is a counter in one of these
-//! blocks, never a field on a component.
+//! LCS), and the simulator counts here, once, each event that a report, the
+//! energy model or the journal uses. A new count is a counter in one of
+//! these blocks, never a field on a component.
 //!
 //! Each counter block ([`SimStats`], [`ExecutedBreakdown`],
 //! [`StallBreakdown`], [`ActivityCounters`]) lists its fields once, in a
