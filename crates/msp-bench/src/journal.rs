@@ -404,11 +404,6 @@ impl ExperimentJournal {
         &self.dir
     }
 
-    /// The write-ahead-log path inside the journal directory.
-    pub fn wal_path(&self) -> PathBuf {
-        self.dir.join(WAL_FILE_NAME)
-    }
-
     /// The result-file path of a cell fingerprint.
     pub fn cell_path(&self, fingerprint: u64) -> PathBuf {
         self.dir.join(format!("{fingerprint:016x}.{CELL_FILE_EXT}"))

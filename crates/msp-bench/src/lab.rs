@@ -620,13 +620,6 @@ impl Lab {
         &self.config
     }
 
-    /// Changes the worker-thread count for subsequent [`Lab::run`]s (the
-    /// throughput benchmark measures one warm cache at several widths).
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads > 0, "a Lab needs at least one worker thread");
-        self.config.threads = threads;
-    }
-
     /// The shared functional trace of `(workload, instructions)`:
     /// resolved disk-first (memory LRU, then the persistent store, then one
     /// [`Trace::capture`] with a small overfetch margin, written through to

@@ -32,8 +32,9 @@
 //!
 //! The detailed-simulation cost of a cell drops from `budget` to roughly
 //! `windows × (warmup_len + detail_len)` instructions, which is what makes
-//! multi-million-instruction budgets tractable (see `BENCH_pipeline.json`
-//! for the recorded speedups and accuracy of every plan).
+//! multi-million-instruction budgets tractable (`tests/sampling.rs` fences
+//! the periodic plan's speed-up and every plan's accuracy at 2M
+//! instructions).
 
 use msp_isa::BbvSignature;
 use msp_pipeline::SimStats;
@@ -138,9 +139,9 @@ impl SamplingPlan {
     /// warm trajectory (see DESIGN.md); the warm-up window only has to
     /// re-establish pipeline *occupancy* (fill the in-flight window and
     /// queues), which takes a few hundred to a few thousand instructions on
-    /// the deepest machines. At the default 250k interval this shape
-    /// measured a ~5× wall-clock speedup with ≤1.5% per-cell IPC error on
-    /// the 2M-budget table1 reference sweep (see BENCH_pipeline.json).
+    /// the deepest machines. At the default 250k interval this shape is
+    /// fenced at ≥4× the exact sweep's speed with <2% per-cell IPC error on
+    /// the 2M-budget table1 reference sweep (`tests/sampling.rs`).
     ///
     /// # Panics
     ///

@@ -234,11 +234,6 @@ impl TraceStore {
         Ok(entries)
     }
 
-    /// Total bytes of the stored trace files.
-    pub fn total_bytes(&self) -> io::Result<u64> {
-        Ok(self.entries()?.iter().map(|e| e.bytes).sum())
-    }
-
     /// Deletes least-recently-used files (oldest modification time first —
     /// hits refresh it) until the directory fits the byte budget. The newest
     /// file is always retained, so even a zero budget keeps the trace the

@@ -716,8 +716,10 @@ impl MspMachine {
             self.stores.squash_younger(branch.seq);
         }
         // 3. Precise state recovery to the branch's state.
-        let outcome = self.manager.recover(branch.state);
-        for &phys in &outcome.released {
+        let mut released = Vec::new();
+        self.manager
+            .recover(branch.state, |phys| released.push(phys));
+        for phys in released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("recovery released unledgered register {phys}"));
             }

@@ -169,13 +169,6 @@ impl Cache {
             .iter()
             .any(|l| l.lru != 0 && l.tag == tag)
     }
-
-    /// Invalidates the whole cache (used between benchmark runs).
-    pub fn flush(&mut self) {
-        for line in &mut self.lines {
-            line.lru = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -238,14 +231,6 @@ mod tests {
         c.access(0x090);
         assert!(!c.probe(0x010));
         assert!(c.probe(0x050));
-    }
-
-    #[test]
-    fn flush_invalidates_everything() {
-        let mut c = tiny();
-        c.access(0x300);
-        c.flush();
-        assert!(!c.probe(0x300));
     }
 
     #[test]

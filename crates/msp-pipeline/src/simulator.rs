@@ -998,7 +998,7 @@ impl<'p> Simulator<'p> {
                 }
                 _ => unreachable!("MSP backend on a non-MSP machine"),
             };
-            manager.recover(state);
+            manager.recover(state, |_| {});
         }
 
         // Rebuild the logical-register writer map from surviving

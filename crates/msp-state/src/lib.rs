@@ -68,8 +68,7 @@ mod stateid;
 
 pub use lcs::LcsUnit;
 pub use manager::{
-    MspConfig, MspStateManager, RecoveryOutcome, RenameError, RenameRequest, RenamedDest,
-    RenamedInst, SourceMapping,
+    MspConfig, MspStateManager, RenameError, RenameRequest, RenamedDest, RenamedInst, SourceMapping,
 };
 pub use physreg::PhysReg;
 pub use regfile::PortArbiter;

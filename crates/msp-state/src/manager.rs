@@ -185,15 +185,6 @@ impl fmt::Display for RenameError {
 
 impl Error for RenameError {}
 
-/// The result of a precise state recovery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryOutcome {
-    /// The state execution was restored to.
-    pub recovery_state: StateId,
-    /// Physical registers released because their state was squashed.
-    pub released: Vec<PhysReg>,
-}
-
 /// The complete MSP state-management mechanism: one SCT and RelIQ matrix per
 /// logical register, the global StateId counter and the LCS unit.
 ///
@@ -287,11 +278,6 @@ impl MspStateManager {
     /// older is committed.
     pub fn lcs(&self) -> StateId {
         self.lcs.current()
-    }
-
-    /// Total number of physical registers managed.
-    pub fn total_registers(&self) -> usize {
-        self.config.total_registers()
     }
 
     /// Marks a bank's commit-clock caches as stale. Every mutation that can
@@ -471,8 +457,9 @@ impl MspStateManager {
     }
 
     /// Performs a precise state recovery to `recovery_state` (Section 3.5):
-    /// every physical register whose StateId is newer is released, the
-    /// StateId counter is restored, and the LCS pipeline is flushed.
+    /// every physical register whose StateId is newer is released, calling
+    /// `on_release` once for each, the StateId counter is restored, and the
+    /// LCS pipeline is flushed.
     ///
     /// The caller (the pipeline) is responsible for squashing the younger
     /// instructions in the instruction queue and clearing their RelIQ columns
@@ -483,17 +470,17 @@ impl MspStateManager {
     /// Panics if `recovery_state` is older than the committed floor (states
     /// that have committed can never be recovered) or newer than the current
     /// state.
-    pub fn recover(&mut self, recovery_state: StateId) -> RecoveryOutcome {
+    pub fn recover(&mut self, recovery_state: StateId, mut on_release: impl FnMut(PhysReg)) {
         assert!(
             recovery_state >= self.committed_floor.as_u64().saturating_sub(1).into(),
             "cannot recover into already committed states"
         );
-        let mut released = Vec::new();
         for bank in 0..self.scts.len() {
-            for slot in self.scts[bank].recover(recovery_state) {
-                self.reliqs[bank].clear_row(slot);
-                released.push(PhysReg::new(bank, slot));
-            }
+            let reliq = &mut self.reliqs[bank];
+            self.scts[bank].recover(recovery_state, |slot| {
+                reliq.clear_row(slot);
+                on_release(PhysReg::new(bank, slot));
+            });
         }
         self.counter.recover_to(recovery_state);
         self.dirty_banks = all_banks_dirty(self.scts.len());
@@ -514,10 +501,6 @@ impl MspStateManager {
         #[cfg(any(debug_assertions, feature = "invariant_audit"))]
         if let Err(violation) = self.verify_recovery(recovery_state) {
             panic!("post-recovery invariant audit failed: {violation}");
-        }
-        RecoveryOutcome {
-            recovery_state,
-            released,
         }
     }
 
@@ -806,12 +789,12 @@ mod tests {
 
         // Branch misprediction at instruction 7 (state 4): only R1.2
         // (allocated at state 5) is released.
-        let recovery = msp.recover(StateId::new(4));
-        assert_eq!(recovery.released, vec![PhysReg::new(1, 2)]);
+        let mut released = Vec::new();
+        msp.recover(StateId::new(4), |phys| released.push(phys));
+        assert_eq!(released, vec![PhysReg::new(1, 2)]);
         assert_eq!(msp.current_state(), StateId::new(4));
         assert_eq!(msp.source_mapping(int(1)).phys, PhysReg::new(1, 1));
         assert_eq!(msp.source_mapping(int(2)).phys, PhysReg::new(2, 3));
-        assert_eq!(recovery.recovery_state, StateId::new(4));
     }
 
     #[test]
@@ -946,7 +929,7 @@ mod tests {
             .dest
             .unwrap();
         msp.rename(&RenameRequest::new(Some(int(2)), &[])).unwrap();
-        msp.recover(first.state_id);
+        msp.recover(first.state_id, |_| {});
         assert_eq!(msp.current_state(), first.state_id);
         // New non-allocating instructions anchor to r1's surviving renaming.
         let out = msp.rename(&RenameRequest::new(None, &[int(1)])).unwrap();
@@ -993,8 +976,9 @@ mod tests {
         msp.verify_occupancy().expect("healthy state");
         msp.mark_ready(first.phys);
         msp.clock_commit(|_| {});
-        let rec = msp.recover(first.state_id);
-        assert_eq!(rec.released.len(), 1, "only the second renaming squashes");
+        let mut released = 0;
+        msp.recover(first.state_id, |_| released += 1);
+        assert_eq!(released, 1, "only the second renaming squashes");
         msp.verify_recovery(first.state_id)
             .expect("precise recovery");
         msp.verify_occupancy()

@@ -74,7 +74,8 @@ impl SctEntry {
 /// assert_eq!(sct.current_mapping(), b);
 /// assert_eq!(sct.live_entries(), 3); // initial mapping + 2 renamings
 /// // Recover to state 1: the renaming allocated at state 2 is squashed.
-/// let released = sct.recover(StateId::new(1));
+/// let mut released = Vec::new();
+/// sct.recover(StateId::new(1), |slot| released.push(slot));
 /// assert_eq!(released, vec![b]);
 /// assert_eq!(sct.current_mapping(), a);
 /// ```
@@ -363,9 +364,9 @@ impl Sct {
 
     /// Precise state recovery (Section 3.5): releases every physical register
     /// whose `StateId > recovery_state`, moving the Rename Pointer back to the
-    /// youngest surviving renaming. Returns the released slots, youngest
-    /// first.
-    pub fn recover(&mut self, recovery_state: StateId) -> Vec<usize> {
+    /// youngest surviving renaming. Calls `on_release` with each released
+    /// slot, youngest first.
+    pub fn recover(&mut self, recovery_state: StateId, mut on_release: impl FnMut(usize)) {
         debug_assert!(
             recovery_state >= self.entries[self.oldest].state_id,
             "recovery target {recovery_state} is older than the oldest live mapping \
@@ -373,7 +374,6 @@ impl Sct {
             self.entries[self.oldest].state_id,
             self.bank
         );
-        let mut released = Vec::new();
         while self.live > 1 {
             let ren_p = self.current_mapping();
             if self.entries[ren_p].state_id > recovery_state {
@@ -382,7 +382,7 @@ impl Sct {
                     break;
                 }
                 self.entries[ren_p] = SctEntry::INVALID;
-                released.push(ren_p);
+                on_release(ren_p);
                 self.live -= 1;
             } else {
                 break;
@@ -398,7 +398,6 @@ impl Sct {
             self.rel_p = self.current_mapping();
         }
         self.idle = false;
-        released
     }
 
     /// Iterates over the live entries from oldest to youngest as
@@ -505,7 +504,8 @@ mod tests {
         let mut r1 = Sct::new(1, 8);
         let _r1_1 = r1.allocate(StateId::new(3)).unwrap();
         let r1_2 = r1.allocate(StateId::new(5)).unwrap();
-        let released = r1.recover(StateId::new(4));
+        let mut released = Vec::new();
+        r1.recover(StateId::new(4), |slot| released.push(slot));
         assert_eq!(released, vec![r1_2]);
         assert_eq!(r1.current_mapping_state(), StateId::new(3));
 
@@ -513,7 +513,8 @@ mod tests {
         r2.allocate(StateId::new(1)).unwrap();
         r2.allocate(StateId::new(2)).unwrap();
         r2.allocate(StateId::new(4)).unwrap();
-        let released = r2.recover(StateId::new(4));
+        let mut released = Vec::new();
+        r2.recover(StateId::new(4), |slot| released.push(slot));
         assert!(
             released.is_empty(),
             "no R2 renaming is younger than state 4"
@@ -597,7 +598,7 @@ mod tests {
         sct.advance_release_pointer(|_| false);
         assert_eq!(sct.release_pointer(), b);
         // Squash the entry the release pointer sits on.
-        sct.recover(StateId::new(1));
+        sct.recover(StateId::new(1), |_| {});
         assert_eq!(sct.release_pointer(), sct.current_mapping());
         assert_eq!(sct.current_mapping(), a);
     }
@@ -642,7 +643,7 @@ mod tests {
         // live (architectural) mapping; recovering to state 5 would squash a
         // committed state and must trip the precondition check.
         sct.release_committed(StateId::new(7), |_| {});
-        let _ = sct.recover(StateId::new(5));
+        sct.recover(StateId::new(5), |_| {});
     }
 
     #[test]
@@ -682,7 +683,7 @@ mod tests {
                     // recover to a state between the committed point and now
                     _ => {
                         let target = committed_up_to.max(next_state.saturating_sub(3));
-                        sct.recover(StateId::new(target));
+                        sct.recover(StateId::new(target), |_| {});
                         next_state = next_state.min(target + 1).max(committed_up_to + 1);
                         // keep next_state strictly above the surviving mapping
                         next_state = next_state.max(sct.current_mapping_state().as_u64() + 1);

@@ -62,9 +62,10 @@
 //!
 //! Large budgets run **sampled**: attach a [`SamplingPlan`](bench::SamplingPlan)
 //! and every cell estimates its full-budget statistics from detailed
-//! simulation of checkpoint-resumed windows (≥5× faster than exact at
-//! multi-million-instruction budgets, per-cell IPC within 2% — see
-//! `BENCH_pipeline.json` and DESIGN.md). Three plans are available:
+//! simulation of checkpoint-resumed windows (at a 2M-instruction budget at
+//! least 4× faster than exact with per-cell IPC within 2%, fenced by
+//! `msp-bench`'s `tests/sampling.rs`; see DESIGN.md). Three plans are
+//! available:
 //! [`SamplingPlan::periodic`](bench::SamplingPlan::periodic) (one window per
 //! fixed interval), [`SamplingPlan::phase_aware`](bench::SamplingPlan::phase_aware)
 //! (SimPoint-style — cluster per-interval basic-block vectors and simulate

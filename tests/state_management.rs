@@ -67,9 +67,9 @@ fn recovery_releases_and_reuses_registers() {
         Err(RenameError::BankFull(_))
     ));
     // Recover to the first renaming: two registers come back.
-    let recovery = manager.recover(StateId::new(1));
-    assert_eq!(recovery.recovery_state, StateId::new(1));
-    assert_eq!(recovery.released.len(), 2);
+    let mut released = Vec::new();
+    manager.recover(StateId::new(1), |phys| released.push(phys));
+    assert_eq!(released.len(), 2);
     assert_eq!(manager.current_state(), StateId::new(1));
     // The bank can immediately absorb new renamings again.
     assert!(manager.rename(&RenameRequest::new(Some(r(5)), &[])).is_ok());
@@ -206,9 +206,9 @@ mod random_recovery {
             if recover_sel == 0 && floor <= current {
                 let target =
                     StateId::new(floor + (u64::from(s1) + u64::from(s2)) % (current - floor + 1));
-                for released in manager.recover(target).released {
+                manager.recover(target, |released| {
                     ledger.remove(&released);
-                }
+                });
                 manager
                     .verify_recovery(target)
                     .expect("post-recovery audit");
