@@ -29,7 +29,10 @@
 //! detailed windows go: `periodic` (one per `MSP_BENCH_SAMPLE_INTERVAL`
 //! committed instructions), `phases` (SimPoint-style — one weighted window
 //! per clustered program phase), or `adaptive` (windows added until the
-//! estimate's relative standard error reaches `--sample-target-stderr`):
+//! estimate's relative standard error reaches `--sample-target-stderr`).
+//! The two flags are values of `MSP_BENCH_SAMPLE_PLAN` and
+//! `MSP_BENCH_SAMPLE_TARGET_STDERR` for their run: one strict parser reads
+//! both routes, and a flag overrides only its own variable:
 //!
 //! ```text
 //! MSP_BENCH_INSTRUCTIONS=2000000 msp-lab table1 --sample
@@ -72,9 +75,7 @@
 //! four hand-edited files.
 
 use msp_bench::store::{demo_store, trace_ls_report};
-use msp_bench::{
-    Lab, LabConfig, OutputFormat, ReportKind, SamplePlanKind, SamplingPlan, TraceStore,
-};
+use msp_bench::{Lab, LabConfig, OutputFormat, ReportKind, SamplingPlan, TraceStore};
 use msp_workloads::Variant;
 use std::process::ExitCode;
 
@@ -133,13 +134,14 @@ fn usage() -> String {
          \x20 --sample         sampled execution: estimate the full budget from detailed\n\
          \x20                  windows (checkpointed resume + cumulative warming;\n\
          \x20                  interval from MSP_BENCH_SAMPLE_INTERVAL, 2.5% detail)\n\
-         \x20 --sample-plan <p> where the windows go (needs --sample): periodic (default;\n\
-         \x20                  one window per interval), phases (SimPoint-style — one\n\
-         \x20                  weighted window per clustered program phase), or adaptive\n\
-         \x20                  (windows added until the IPC relative standard error\n\
-         \x20                  reaches the target)\n\
+         \x20 --sample-plan <p> where the windows go (needs --sample; overrides\n\
+         \x20                  MSP_BENCH_SAMPLE_PLAN): periodic (default; one window per\n\
+         \x20                  interval), phases (SimPoint-style — one weighted window\n\
+         \x20                  per clustered program phase), or adaptive (windows added\n\
+         \x20                  until the IPC relative standard error reaches the target)\n\
          \x20 --sample-target-stderr <x>  adaptive stopping target, strictly between 0\n\
-         \x20                  and 1 (needs --sample; default 0.02)\n\
+         \x20                  and 1 (needs --sample; overrides\n\
+         \x20                  MSP_BENCH_SAMPLE_TARGET_STDERR; default 0.02)\n\
          \x20 --resume         journal every finished cell into MSP_BENCH_JOURNAL_DIR and\n\
          \x20                  replay already-journaled cells instead of re-simulating\n\
          \x20 --verbose        print a trace-cache summary (mem/disk hits, captures) to stderr\n\
@@ -147,14 +149,16 @@ fn usage() -> String {
          \x20 --bless          regenerate this subcommand's checked-in goldens in place\n\
          \x20 --list           list the subcommand names, one per line\n\
          \x20 --help           this help\n\
+         \x20 An option that takes a value also takes the --option=value spelling.\n\
          \n\
-         environment (strictly parsed; invalid values are errors):\n\
+         environment (strictly parsed; invalid values are errors; a sampling flag\n\
+         is parsed as the value of the variable it overrides):\n\
          \x20 MSP_BENCH_INSTRUCTIONS      committed instructions per simulation (default 20000)\n\
          \x20 MSP_BENCH_THREADS           sweep worker threads (default: hardware threads)\n\
          \x20 MSP_BENCH_TRACE_CACHE_BYTES trace-cache byte budget (default 268435456)\n\
          \x20 MSP_BENCH_SAMPLE_INTERVAL   --sample interval in instructions (default 250000)\n\
-         \x20 MSP_BENCH_SAMPLE_PLAN       default --sample-plan: periodic, phases or adaptive\n\
-         \x20 MSP_BENCH_SAMPLE_TARGET_STDERR  default --sample-target-stderr (default 0.02)\n\
+         \x20 MSP_BENCH_SAMPLE_PLAN       --sample plan: periodic (default), phases or adaptive\n\
+         \x20 MSP_BENCH_SAMPLE_TARGET_STDERR  adaptive stopping target (default 0.02)\n\
          \x20 MSP_BENCH_TRACE_DIR         persistent trace-store directory (default: none)\n\
          \x20 MSP_BENCH_TRACE_STORE_BYTES on-disk store byte budget (default 4294967296)\n\
          \x20 MSP_BENCH_JOURNAL_DIR       crash-resumable journal directory (default: none;\n\
@@ -165,11 +169,7 @@ fn usage() -> String {
 
 enum Invocation {
     Run {
-        kind: ReportKind,
-        format: OutputFormat,
-        sample: bool,
-        plan: Option<SamplePlanKind>,
-        target_stderr: Option<f64>,
+        run: RunArgs,
         resume: bool,
         verbose: bool,
     },
@@ -182,6 +182,51 @@ enum Invocation {
     Check(CheckCmd),
     Help,
     List,
+}
+
+/// The sampling flags, each with the environment variable it gives a value
+/// for its run.
+const SAMPLING_FLAGS: [(&str, &str); 2] = [
+    ("--sample-plan", "MSP_BENCH_SAMPLE_PLAN"),
+    ("--sample-target-stderr", "MSP_BENCH_SAMPLE_TARGET_STDERR"),
+];
+
+/// One experiment to run: a subcommand, its output format and whether it
+/// runs sampled, under which sampling flags.
+struct RunArgs {
+    kind: ReportKind,
+    format: OutputFormat,
+    sample: bool,
+    /// The value given to each of [`SAMPLING_FLAGS`], in its order.
+    sampling: [Option<String>; 2],
+}
+
+impl RunArgs {
+    /// The session configuration of this run: [`LabConfig::from_vars`] over
+    /// the environment, with each sampling flag given standing in for its
+    /// variable. A flag's value gets its variable's checks, and a flag not
+    /// given leaves its variable in force.
+    fn config(&self) -> Result<LabConfig, String> {
+        let given = |var: &str| {
+            SAMPLING_FLAGS
+                .iter()
+                .zip(&self.sampling)
+                .find_map(|(&(flag, flag_var), value)| {
+                    value
+                        .as_deref()
+                        .filter(|_| flag_var == var)
+                        .map(|v| (flag, v))
+                })
+        };
+        LabConfig::from_vars(|var| match given(var) {
+            Some((_, value)) => Some(value.into()),
+            None => std::env::var_os(var),
+        })
+        .map_err(|e| match given(e.var) {
+            Some((flag, _)) => format!("invalid {flag} {:?}: {}", e.value, e.reason),
+            None => e.to_string(),
+        })
+    }
 }
 
 /// `msp-lab check`: which machine to enumerate and whether to prove the
@@ -217,65 +262,85 @@ enum TraceCmd {
     },
 }
 
+/// Command-line arguments read as flags. A `--flag=value` argument comes
+/// out as `--flag` with its value attached for [`Flags::value`], so every
+/// valued flag reads alike in both spellings.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The flag [`Flags::next`] returned last and its `=value`, until read.
+    attached: Option<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            attached: None,
+        }
+    }
+
+    /// The next argument, with an attached `=value` split off. Fails if
+    /// the previous flag's attached value went unread: that flag takes none.
+    fn next(&mut self) -> Result<Option<&'a str>, String> {
+        if let Some((flag, value)) = self.attached.take() {
+            return Err(format!("{flag} takes no value (got {value:?})"));
+        }
+        let Some(arg) = self.args.next() else {
+            return Ok(None);
+        };
+        Ok(Some(match arg.split_once('=') {
+            Some((flag, value)) if flag.starts_with("--") => {
+                self.attached = Some((flag, value));
+                flag
+            }
+            _ => arg,
+        }))
+    }
+
+    /// The value of `flag`, which [`Flags::next`] just returned: its
+    /// attached `=value`, or else the next argument.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        match self.attached.take() {
+            Some((_, value)) => Ok(value),
+            None => self
+                .args
+                .next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value")),
+        }
+    }
+}
+
 fn parse_format(value: &str) -> Result<OutputFormat, String> {
     OutputFormat::parse(value)
         .ok_or_else(|| format!("unknown format {value:?} (text, json or csv)"))
 }
 
-fn parse_plan_kind(value: &str) -> Result<SamplePlanKind, String> {
-    match value {
-        "periodic" => Ok(SamplePlanKind::Periodic),
-        "phases" => Ok(SamplePlanKind::PhaseAware),
-        "adaptive" => Ok(SamplePlanKind::Adaptive),
-        other => Err(format!(
-            "unknown sample plan {other:?} (periodic, phases or adaptive)"
-        )),
-    }
-}
-
-fn parse_target_stderr(value: &str) -> Result<f64, String> {
-    value
-        .parse::<f64>()
-        .ok()
-        .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
-        .ok_or_else(|| {
-            format!("--sample-target-stderr {value:?} must be a number strictly between 0 and 1")
-        })
-}
-
 /// Parses the `trace <ls|stat|gc|capture>` family (everything after the
 /// `trace` token).
 fn parse_trace_args(args: &[String]) -> Result<TraceCmd, String> {
-    let mut iter = args.iter();
-    let action = iter
-        .next()
+    let (action, rest) = args
+        .split_first()
         .ok_or_else(|| "trace needs an action: ls, stat, gc or capture".to_string())?;
+    let mut flags = Flags::new(rest);
     match action.as_str() {
         "ls" => {
             let mut format = OutputFormat::Text;
             let mut bless = false;
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
+            while let Some(arg) = flags.next()? {
+                match arg {
                     "--bless" => bless = true,
-                    "--format" => {
-                        let value = iter.next().ok_or_else(|| {
-                            "--format needs a value (text, json or csv)".to_string()
-                        })?;
-                        format = parse_format(value)?;
-                    }
-                    flag if flag.starts_with("--format=") => {
-                        format = parse_format(&flag["--format=".len()..])?;
-                    }
+                    "--format" => format = parse_format(flags.value(arg)?)?,
                     other => return Err(format!("unexpected trace ls argument {other:?}")),
                 }
             }
             Ok(TraceCmd::Ls { format, bless })
         }
-        "stat" => match iter.next() {
+        "stat" => match rest.first() {
             None => Ok(TraceCmd::Stat),
             Some(other) => Err(format!("unexpected trace stat argument {other:?}")),
         },
-        "gc" => match iter.next() {
+        "gc" => match rest.first() {
             None => Ok(TraceCmd::Gc),
             Some(other) => Err(format!("unexpected trace gc argument {other:?}")),
         },
@@ -283,13 +348,10 @@ fn parse_trace_args(args: &[String]) -> Result<TraceCmd, String> {
             let mut workload: Option<String> = None;
             let mut variant = Variant::Original;
             let mut interval = 0u64;
-            while let Some(arg) = iter.next() {
-                match arg.as_str() {
+            while let Some(arg) = flags.next()? {
+                match arg {
                     "--variant" => {
-                        let value = iter
-                            .next()
-                            .ok_or_else(|| "--variant needs a value".to_string())?;
-                        variant = match value.as_str() {
+                        variant = match flags.value(arg)? {
                             "original" => Variant::Original,
                             "modified" => Variant::Modified,
                             other => {
@@ -300,9 +362,7 @@ fn parse_trace_args(args: &[String]) -> Result<TraceCmd, String> {
                         };
                     }
                     "--interval" => {
-                        let value = iter
-                            .next()
-                            .ok_or_else(|| "--interval needs a value".to_string())?;
+                        let value = flags.value(arg)?;
                         interval = value.parse::<u64>().map_err(|_| {
                             format!("--interval {value:?} is not an unsigned integer")
                         })?;
@@ -337,9 +397,9 @@ fn parse_check_args(args: &[String]) -> Result<CheckCmd, String> {
     let mut cpr = false;
     let mut max_states: u64 = msp_check::ExploreLimits::default().max_states;
     let mut mode = CheckMode::Clean;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next()? {
+        match arg {
             "--cpr" => cpr = true,
             "--list-mutations" => mode = CheckMode::ListMutations,
             "--mutation-matrix" => {
@@ -352,15 +412,10 @@ fn parse_check_args(args: &[String]) -> Result<CheckCmd, String> {
                 if matches!(mode, CheckMode::Matrix) {
                     return Err("--mutation and --mutation-matrix are mutually exclusive".into());
                 }
-                let value = iter.next().ok_or_else(|| {
-                    "--mutation needs a defect name (see --list-mutations)".to_string()
-                })?;
-                mode = CheckMode::Mutation(value.clone());
+                mode = CheckMode::Mutation(flags.value(arg)?.to_string());
             }
             "--max-states" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--max-states needs an unsigned integer".to_string())?;
+                let value = flags.value(arg)?;
                 max_states = value
                     .parse::<u64>()
                     .ok()
@@ -399,63 +454,35 @@ fn parse_batch_args(args: &[String]) -> Result<Invocation, String> {
 }
 
 fn parse_args(args: &[String]) -> Result<Invocation, String> {
-    if args.first().map(String::as_str) == Some("trace") {
-        return Ok(Invocation::Trace(parse_trace_args(&args[1..])?));
-    }
-    if args.first().map(String::as_str) == Some("batch") {
-        return parse_batch_args(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("check") {
-        return Ok(Invocation::Check(parse_check_args(&args[1..])?));
+    match args.first().map(String::as_str) {
+        Some("trace") => return Ok(Invocation::Trace(parse_trace_args(&args[1..])?)),
+        Some("batch") => return parse_batch_args(&args[1..]),
+        Some("check") => return Ok(Invocation::Check(parse_check_args(&args[1..])?)),
+        _ => {}
     }
     let mut kind: Option<ReportKind> = None;
     let mut format = OutputFormat::Text;
     let mut sample = false;
-    let mut plan: Option<SamplePlanKind> = None;
-    let mut target_stderr: Option<f64> = None;
+    let mut sampling: [Option<String>; 2] = Default::default();
     let mut bless = false;
     let mut resume = false;
     let mut verbose = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next()? {
+        match arg {
             "--help" | "-h" => return Ok(Invocation::Help),
             "--list" => return Ok(Invocation::List),
             "--sample" => sample = true,
             "--bless" => bless = true,
             "--resume" => resume = true,
             "--verbose" | "-v" => verbose = true,
-            "--format" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--format needs a value (text, json or csv)".to_string())?;
-                format = parse_format(value)?;
-            }
-            flag if flag.starts_with("--format=") => {
-                format = parse_format(&flag["--format=".len()..])?;
-            }
-            "--sample-plan" => {
-                let value = iter.next().ok_or_else(|| {
-                    "--sample-plan needs a value (periodic, phases or adaptive)".to_string()
-                })?;
-                plan = Some(parse_plan_kind(value)?);
-            }
-            flag if flag.starts_with("--sample-plan=") => {
-                plan = Some(parse_plan_kind(&flag["--sample-plan=".len()..])?);
-            }
-            "--sample-target-stderr" => {
-                let value = iter.next().ok_or_else(|| {
-                    "--sample-target-stderr needs a value strictly between 0 and 1".to_string()
-                })?;
-                target_stderr = Some(parse_target_stderr(value)?);
-            }
-            flag if flag.starts_with("--sample-target-stderr=") => {
-                target_stderr = Some(parse_target_stderr(
-                    &flag["--sample-target-stderr=".len()..],
-                )?);
-            }
+            "--format" => format = parse_format(flags.value(arg)?)?,
             flag if flag.starts_with('-') => {
-                return Err(format!("unknown option {flag:?}"));
+                let i = SAMPLING_FLAGS
+                    .iter()
+                    .position(|&(sampling_flag, _)| sampling_flag == flag)
+                    .ok_or_else(|| format!("unknown option {flag:?}"))?;
+                sampling[i] = Some(flags.value(flag)?.to_string());
             }
             name => {
                 if kind.is_some() {
@@ -469,13 +496,8 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
         }
     }
     let kind = kind.ok_or_else(|| "missing subcommand".to_string())?;
-    if !sample {
-        if plan.is_some() {
-            return Err("--sample-plan needs --sample".to_string());
-        }
-        if target_stderr.is_some() {
-            return Err("--sample-target-stderr needs --sample".to_string());
-        }
+    if let (false, Some(i)) = (sample, sampling.iter().position(Option::is_some)) {
+        return Err(format!("{} needs --sample", SAMPLING_FLAGS[i].0));
     }
     if bless {
         if sample {
@@ -497,32 +519,15 @@ fn parse_args(args: &[String]) -> Result<Invocation, String> {
         return Ok(Invocation::Bless(kind));
     }
     Ok(Invocation::Run {
-        kind,
-        format,
-        sample,
-        plan,
-        target_stderr,
+        run: RunArgs {
+            kind,
+            format,
+            sample,
+            sampling,
+        },
         resume,
         verbose,
     })
-}
-
-/// Resolves the effective `SamplingPlan` for one `--sample` run: the session
-/// configuration (environment) provides the defaults, the command-line flags
-/// override them.
-fn resolve_plan(
-    config: &LabConfig,
-    plan: Option<SamplePlanKind>,
-    target_stderr: Option<f64>,
-) -> SamplingPlan {
-    let mut config = config.clone();
-    if let Some(plan) = plan {
-        config.sample_plan = plan;
-    }
-    if let Some(target) = target_stderr {
-        config.sample_target_stderr = target;
-    }
-    config.sampling_plan()
 }
 
 /// Regenerates every golden of `kind` in place. The golden directory is
@@ -753,39 +758,55 @@ fn run_check(cmd: CheckCmd) -> Result<(), String> {
     }
 }
 
-/// Builds the session `Lab`. Journalling is opt-in per invocation: a plain
-/// run ignores any ambient `MSP_BENCH_JOURNAL_DIR` (its cells are not
-/// journaled and nothing replays), while `--resume` requires it.
-fn lab_from_env(resume: bool) -> Result<Lab, String> {
-    let mut config = LabConfig::from_env().map_err(|e| e.to_string())?;
-    if resume {
-        if config.journal_dir.is_none() {
-            return Err(
-                "--resume needs MSP_BENCH_JOURNAL_DIR to point at the journal directory"
-                    .to_string(),
-            );
-        }
-    } else {
+/// `msp-lab <subcommand>`: one experiment. Journalling is opt-in per
+/// invocation: a plain run ignores any ambient `MSP_BENCH_JOURNAL_DIR` (its
+/// cells are not journaled and nothing replays), while `--resume` requires
+/// it.
+fn run_one(run: &RunArgs, resume: bool, verbose: bool) -> Result<(), String> {
+    let mut config = run.config()?;
+    if !resume {
         config.journal_dir = None;
+    } else if config.journal_dir.is_none() {
+        return Err(
+            "--resume needs MSP_BENCH_JOURNAL_DIR to point at the journal directory".to_string(),
+        );
     }
-    Ok(Lab::new(config))
+    let sampling = run.sample.then_some(config.sampling);
+    let lab = Lab::new(config);
+    print!(
+        "{}",
+        run.kind.build_sampled(&lab, sampling).render(run.format)
+    );
+    if verbose {
+        print_tally(&lab);
+    }
+    Ok(())
 }
 
-/// One parsed manifest entry: `<subcommand> [--sample] [--sample-plan p]
-/// [--sample-target-stderr x] [--format fmt]`.
-struct BatchEntry {
-    kind: ReportKind,
-    format: OutputFormat,
-    sample: bool,
-    plan: Option<SamplePlanKind>,
-    target_stderr: Option<f64>,
+/// The `--verbose` summary on stderr: the trace cache's hits and captures,
+/// and the journal's replays and records when the session has a journal.
+fn print_tally(lab: &Lab) {
+    eprintln!(
+        "msp-lab: trace cache: {} hits mem / {} hits disk / {} captures",
+        lab.mem_hit_count(),
+        lab.disk_hit_count(),
+        lab.capture_count()
+    );
+    if lab.journal().is_some() {
+        eprintln!(
+            "msp-lab: journal: {} replayed / {} recorded",
+            lab.journal_replayed_count(),
+            lab.journal_recorded_count()
+        );
+    }
 }
 
 /// Parses a batch manifest: one experiment per line, `#` comments and
 /// blank lines skipped. Each entry uses the normal run grammar (the parser
 /// is shared), but only plain runs are allowed — no nested `batch`, no
-/// `--bless`, no `trace`.
-fn parse_manifest(text: &str) -> Result<Vec<BatchEntry>, String> {
+/// `--bless`, no `trace`. Every entry's sampling plan is resolved here, so
+/// a bad flag value on any line fails before the first experiment runs.
+fn parse_manifest(text: &str) -> Result<Vec<(RunArgs, Option<SamplingPlan>)>, String> {
     let mut entries = Vec::new();
     for (index, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -793,21 +814,8 @@ fn parse_manifest(text: &str) -> Result<Vec<BatchEntry>, String> {
             continue;
         }
         let tokens: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        match parse_args(&tokens) {
-            Ok(Invocation::Run {
-                kind,
-                format,
-                sample,
-                plan,
-                target_stderr,
-                ..
-            }) => entries.push(BatchEntry {
-                kind,
-                format,
-                sample,
-                plan,
-                target_stderr,
-            }),
+        let entry = match parse_args(&tokens) {
+            Ok(Invocation::Run { run, .. }) => run,
             Ok(_) => {
                 return Err(format!(
                     "manifest line {}: only `<subcommand> [--sample] [--sample-plan p] \
@@ -816,7 +824,13 @@ fn parse_manifest(text: &str) -> Result<Vec<BatchEntry>, String> {
                 ));
             }
             Err(e) => return Err(format!("manifest line {}: {e}", index + 1)),
-        }
+        };
+        let plan = entry
+            .sample
+            .then(|| entry.config().map(|config| config.sampling))
+            .transpose()
+            .map_err(|e| format!("manifest line {}: {e}", index + 1))?;
+        entries.push((entry, plan));
     }
     Ok(entries)
 }
@@ -840,17 +854,14 @@ fn run_batch(manifest: &str, verbose: bool) -> Result<(), String> {
     }
     let lab = Lab::new(config);
     let total = entries.len();
-    for (index, entry) in entries.iter().enumerate() {
+    for (index, (entry, sampling)) in entries.iter().enumerate() {
         let replayed_before = lab.journal_replayed_count();
         let recorded_before = lab.journal_recorded_count();
-        let sampling = entry
-            .sample
-            .then(|| resolve_plan(lab.config(), entry.plan, entry.target_stderr));
         print!(
             "{}",
             entry
                 .kind
-                .build_sampled(&lab, sampling)
+                .build_sampled(&lab, *sampling)
                 .render(entry.format)
         );
         eprintln!(
@@ -862,17 +873,7 @@ fn run_batch(manifest: &str, verbose: bool) -> Result<(), String> {
         );
     }
     if verbose {
-        eprintln!(
-            "msp-lab: trace cache: {} hits mem / {} hits disk / {} captures",
-            lab.mem_hit_count(),
-            lab.disk_hit_count(),
-            lab.capture_count()
-        );
-        eprintln!(
-            "msp-lab: journal: {} replayed / {} recorded",
-            lab.journal_replayed_count(),
-            lab.journal_recorded_count()
-        );
+        print_tally(&lab);
     }
     Ok(())
 }
@@ -888,79 +889,32 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match invocation {
+    let outcome = match invocation {
         Invocation::Help => {
             print!("{}", usage());
-            ExitCode::SUCCESS
+            Ok(())
         }
         Invocation::List => {
             for kind in ReportKind::ALL {
                 println!("{}", kind.name());
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Invocation::Bless(kind) => match bless(kind) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("msp-lab: {message}");
-                ExitCode::FAILURE
-            }
-        },
-        Invocation::Trace(cmd) => match run_trace(cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("msp-lab: {message}");
-                ExitCode::FAILURE
-            }
-        },
-        Invocation::Check(cmd) => match run_check(cmd) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("msp-lab: {message}");
-                ExitCode::FAILURE
-            }
-        },
-        Invocation::Batch { manifest, verbose } => match run_batch(&manifest, verbose) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(message) => {
-                eprintln!("msp-lab: {message}");
-                ExitCode::FAILURE
-            }
-        },
+        Invocation::Bless(kind) => bless(kind),
+        Invocation::Trace(cmd) => run_trace(cmd),
+        Invocation::Check(cmd) => run_check(cmd),
+        Invocation::Batch { manifest, verbose } => run_batch(&manifest, verbose),
         Invocation::Run {
-            kind,
-            format,
-            sample,
-            plan,
-            target_stderr,
+            run,
             resume,
             verbose,
-        } => {
-            let lab = match lab_from_env(resume) {
-                Ok(lab) => lab,
-                Err(error) => {
-                    eprintln!("msp-lab: {error}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let sampling = sample.then(|| resolve_plan(lab.config(), plan, target_stderr));
-            print!("{}", kind.build_sampled(&lab, sampling).render(format));
-            if verbose {
-                eprintln!(
-                    "msp-lab: trace cache: {} hits mem / {} hits disk / {} captures",
-                    lab.mem_hit_count(),
-                    lab.disk_hit_count(),
-                    lab.capture_count()
-                );
-                if lab.journal().is_some() {
-                    eprintln!(
-                        "msp-lab: journal: {} replayed / {} recorded",
-                        lab.journal_replayed_count(),
-                        lab.journal_recorded_count()
-                    );
-                }
-            }
-            ExitCode::SUCCESS
+        } => run_one(&run, resume, verbose),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("msp-lab: {message}");
+            ExitCode::FAILURE
         }
     }
 }

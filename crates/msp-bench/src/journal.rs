@@ -57,7 +57,7 @@
 
 use crate::energy::SampledEnergy;
 use crate::experiment::Cell;
-use crate::{SampledStats, SamplingPlan};
+use crate::{Placement, SampledStats, SamplingPlan};
 use msp_branch::PredictorKind;
 use msp_isa::wire::{fnv1a, put_varint, Reader, FNV_OFFSET};
 use msp_pipeline::{
@@ -227,49 +227,41 @@ pub fn cell_fingerprint(
     put_variant(&mut buf, variant);
     put_opt_string(&mut buf, hook);
     put_varint(&mut buf, instructions);
-    // Rest-pattern-free destructures on purpose: adding a field to any
-    // plan variant without fingerprinting it is a compile error here, not
-    // a silent replay of stale cells. Tag 1 (periodic) keeps the exact
-    // encoding of the old three-field `SamplingSpec`.
+    // Rest-pattern-free destructures on purpose: adding a field to the plan
+    // or to a placement without fingerprinting it is a compile error here,
+    // not a silent replay of stale cells. The tag names the placement, and
+    // tag 1 (periodic) keeps the exact encoding of the old three-field
+    // `SamplingSpec`.
     match sampling {
         None => buf.push(0),
-        Some(SamplingPlan::Periodic {
+        Some(SamplingPlan {
             interval,
             detail_len,
             warmup_len,
+            placement,
         }) => {
-            buf.push(1);
+            buf.push(match placement {
+                Placement::Periodic => 1,
+                Placement::Phases { .. } => 2,
+                Placement::Adaptive { .. } => 3,
+            });
             put_varint(&mut buf, interval);
             put_varint(&mut buf, detail_len);
             put_varint(&mut buf, warmup_len);
-        }
-        Some(SamplingPlan::PhaseAware {
-            interval,
-            detail_len,
-            warmup_len,
-            max_phases,
-            seed,
-        }) => {
-            buf.push(2);
-            put_varint(&mut buf, interval);
-            put_varint(&mut buf, detail_len);
-            put_varint(&mut buf, warmup_len);
-            put_varint(&mut buf, max_phases as u64);
-            put_varint(&mut buf, seed);
-        }
-        Some(SamplingPlan::Adaptive {
-            interval,
-            detail_len,
-            warmup_len,
-            target_rel_stderr,
-            max_windows,
-        }) => {
-            buf.push(3);
-            put_varint(&mut buf, interval);
-            put_varint(&mut buf, detail_len);
-            put_varint(&mut buf, warmup_len);
-            put_u64(&mut buf, target_rel_stderr.to_bits());
-            put_varint(&mut buf, max_windows as u64);
+            match placement {
+                Placement::Periodic => {}
+                Placement::Phases { max_phases, seed } => {
+                    put_varint(&mut buf, max_phases as u64);
+                    put_varint(&mut buf, seed);
+                }
+                Placement::Adaptive {
+                    target_rel_stderr,
+                    max_windows,
+                } => {
+                    put_u64(&mut buf, target_rel_stderr.to_bits());
+                    put_varint(&mut buf, max_windows as u64);
+                }
+            }
         }
     }
     put_sim_config(&mut buf, config);
@@ -1162,11 +1154,7 @@ mod tests {
     fn fingerprint_covers_every_axis() {
         let config = sample_config();
         let base = cell_fingerprint(1, "gzip", Variant::Original, None, &config, 20_000, None);
-        let spec = SamplingPlan::Periodic {
-            interval: 1_000,
-            detail_len: 100,
-            warmup_len: 50,
-        };
+        let spec = SamplingPlan::periodic(1_000).with_window(100, 50);
         let mut hooked = config.clone();
         hooked.latency.int_mul = 5;
         let others = [
@@ -1202,12 +1190,12 @@ mod tests {
                 None,
                 &config,
                 20_000,
-                Some(SamplingPlan::PhaseAware {
-                    interval: 1_000,
-                    detail_len: 100,
-                    warmup_len: 50,
-                    max_phases: 8,
-                    seed: 1,
+                Some(SamplingPlan {
+                    placement: Placement::Phases {
+                        max_phases: 8,
+                        seed: 1,
+                    },
+                    ..spec
                 }),
             ),
             cell_fingerprint(
@@ -1217,12 +1205,12 @@ mod tests {
                 None,
                 &config,
                 20_000,
-                Some(SamplingPlan::PhaseAware {
-                    interval: 1_000,
-                    detail_len: 100,
-                    warmup_len: 50,
-                    max_phases: 8,
-                    seed: 2,
+                Some(SamplingPlan {
+                    placement: Placement::Phases {
+                        max_phases: 8,
+                        seed: 2,
+                    },
+                    ..spec
                 }),
             ),
             cell_fingerprint(
@@ -1232,12 +1220,12 @@ mod tests {
                 None,
                 &config,
                 20_000,
-                Some(SamplingPlan::PhaseAware {
-                    interval: 1_000,
-                    detail_len: 100,
-                    warmup_len: 50,
-                    max_phases: 4,
-                    seed: 1,
+                Some(SamplingPlan {
+                    placement: Placement::Phases {
+                        max_phases: 4,
+                        seed: 1,
+                    },
+                    ..spec
                 }),
             ),
             cell_fingerprint(
@@ -1247,12 +1235,12 @@ mod tests {
                 None,
                 &config,
                 20_000,
-                Some(SamplingPlan::Adaptive {
-                    interval: 1_000,
-                    detail_len: 100,
-                    warmup_len: 50,
-                    target_rel_stderr: 0.01,
-                    max_windows: 64,
+                Some(SamplingPlan {
+                    placement: Placement::Adaptive {
+                        target_rel_stderr: 0.01,
+                        max_windows: 64,
+                    },
+                    ..spec
                 }),
             ),
             cell_fingerprint(
@@ -1262,12 +1250,12 @@ mod tests {
                 None,
                 &config,
                 20_000,
-                Some(SamplingPlan::Adaptive {
-                    interval: 1_000,
-                    detail_len: 100,
-                    warmup_len: 50,
-                    target_rel_stderr: 0.02,
-                    max_windows: 64,
+                Some(SamplingPlan {
+                    placement: Placement::Adaptive {
+                        target_rel_stderr: 0.02,
+                        max_windows: 64,
+                    },
+                    ..spec
                 }),
             ),
             cell_fingerprint(
@@ -1277,12 +1265,12 @@ mod tests {
                 None,
                 &config,
                 20_000,
-                Some(SamplingPlan::Adaptive {
-                    interval: 1_000,
-                    detail_len: 100,
-                    warmup_len: 50,
-                    target_rel_stderr: 0.01,
-                    max_windows: 32,
+                Some(SamplingPlan {
+                    placement: Placement::Adaptive {
+                        target_rel_stderr: 0.01,
+                        max_windows: 32,
+                    },
+                    ..spec
                 }),
             ),
             cell_fingerprint(1, "gzip", Variant::Original, None, &hooked, 20_000, None),
@@ -1319,6 +1307,38 @@ mod tests {
         assert_eq!(
             base,
             cell_fingerprint(1, "gzip", Variant::Original, None, &config, 20_000, None)
+        );
+    }
+
+    /// Literal fingerprints of one cell, exact and under one plan of each
+    /// placement: a journal written by any earlier build of this format
+    /// version replays only while these values hold.
+    #[test]
+    fn fingerprints_are_stable_across_builds() {
+        let fingerprint = |plan| {
+            cell_fingerprint(
+                1,
+                "gzip",
+                Variant::Original,
+                None,
+                &sample_config(),
+                20_000,
+                plan,
+            )
+        };
+        assert_eq!(JOURNAL_FORMAT_VERSION, 3);
+        assert_eq!(fingerprint(None), 0xf5df_ce02_9b23_0248);
+        assert_eq!(
+            fingerprint(Some(SamplingPlan::periodic(1_000).with_window(100, 50))),
+            0x007b_edea_d809_64f8
+        );
+        assert_eq!(
+            fingerprint(Some(SamplingPlan::phase_aware(1_000))),
+            0xcc4c_0544_f6cc_8b6c
+        );
+        assert_eq!(
+            fingerprint(Some(SamplingPlan::adaptive(0.01).with_interval(1_000))),
+            0xc1ec_e706_f283_71bf
         );
     }
 

@@ -49,10 +49,11 @@ use crate::experiment::{Axes, Cell, Experiment, ResultSet};
 use crate::journal::{cell_fingerprint, maybe_kill, ExperimentJournal, KILL_WINDOW_DONE};
 use crate::sampling::{adaptive_window_order, cluster_phases};
 use crate::store::TraceStore;
-use crate::{parallel_map, SampledStats, SamplingPlan};
+use crate::{parallel_map, Placement, SampledStats, SamplingPlan};
 use msp_isa::{BbvAccumulator, BbvSignature, ExecutedInst, Program, Trace, TraceReader};
 use msp_pipeline::{SimConfig, SimResult, SimStats, Simulator, TraceSource, WarmState};
 use msp_workloads::{Variant, Workload};
+use std::ffi::OsString;
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -101,19 +102,11 @@ pub struct LabConfig {
     /// [`DEFAULT_TRACE_CACHE_BYTES`]); least-recently-used traces are
     /// evicted above it.
     pub trace_cache_bytes: usize,
-    /// Sampling interval used when a caller asks for sampled execution
-    /// without an explicit [`SamplingPlan`] (the `msp-lab --sample` flag;
-    /// default [`DEFAULT_SAMPLE_INTERVAL`]). Experiments attach their own
-    /// plan with [`Experiment::sampling`].
-    pub sample_interval: u64,
-    /// Which [`SamplingPlan`] variant flag-driven `--sample` runs build
-    /// from [`LabConfig::sampling_plan`] (default
-    /// [`SamplePlanKind::Periodic`]).
-    pub sample_plan: SamplePlanKind,
-    /// Stopping target for [`SamplePlanKind::Adaptive`] `--sample` runs
-    /// (default [`DEFAULT_SAMPLE_TARGET_STDERR`]); strictly between 0
-    /// and 1. Ignored by the other plan kinds.
-    pub sample_target_stderr: f64,
+    /// The plan flag-driven `--sample` runs use (default
+    /// [`SamplingPlan::periodic`] at [`DEFAULT_SAMPLE_INTERVAL`]; the
+    /// `MSP_BENCH_SAMPLE_*` knobs of [`LabConfig::from_env`] build others).
+    /// Experiments attach their own plan with [`Experiment::sampling`].
+    pub sampling: SamplingPlan,
     /// Directory of the persistent on-disk trace store (default `None` =
     /// memory tier only). Shared across processes; see [`TraceStore`].
     pub trace_dir: Option<PathBuf>,
@@ -136,9 +129,7 @@ impl Default for LabConfig {
             instructions: DEFAULT_INSTRUCTIONS,
             threads: default_threads(),
             trace_cache_bytes: DEFAULT_TRACE_CACHE_BYTES,
-            sample_interval: DEFAULT_SAMPLE_INTERVAL,
-            sample_plan: SamplePlanKind::Periodic,
-            sample_target_stderr: DEFAULT_SAMPLE_TARGET_STDERR,
+            sampling: SamplingPlan::periodic(DEFAULT_SAMPLE_INTERVAL),
             trace_dir: None,
             trace_store_bytes: crate::store::DEFAULT_TRACE_STORE_BYTES,
             journal_dir: None,
@@ -150,32 +141,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Which [`SamplingPlan`] variant a flag-driven `--sample` run uses (the
-/// `MSP_BENCH_SAMPLE_PLAN` / `--sample-plan` knob). Experiments built in
-/// code attach a full plan directly with [`Experiment::sampling`]; this
-/// kind only parameterises [`LabConfig::sampling_plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplePlanKind {
-    /// [`SamplingPlan::periodic`] at [`LabConfig::sample_interval`].
-    Periodic,
-    /// [`SamplingPlan::phase_aware`] at [`LabConfig::sample_interval`].
-    PhaseAware,
-    /// [`SamplingPlan::adaptive`] at [`LabConfig::sample_target_stderr`],
-    /// re-intervalled to [`LabConfig::sample_interval`].
-    Adaptive,
-}
-
-impl SamplePlanKind {
-    /// The `--sample-plan` spelling of this kind.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SamplePlanKind::Periodic => "periodic",
-            SamplePlanKind::PhaseAware => "phases",
-            SamplePlanKind::Adaptive => "adaptive",
-        }
-    }
 }
 
 /// A rejected `MSP_BENCH_*` environment value.
@@ -220,7 +185,8 @@ impl LabConfig {
     /// * `MSP_BENCH_SAMPLE_PLAN` — sampling plan for `--sample` runs; one
     ///   of `periodic`, `phases`, `adaptive`.
     /// * `MSP_BENCH_SAMPLE_TARGET_STDERR` — adaptive stopping target for
-    ///   `--sample` runs; a number strictly between 0 and 1.
+    ///   `--sample` runs; a number strictly between 0 and 1, checked
+    ///   whichever plan is chosen.
     /// * `MSP_BENCH_TRACE_DIR` — directory of the persistent trace store;
     ///   a non-empty path (created if missing).
     /// * `MSP_BENCH_TRACE_STORE_BYTES` — byte budget of the on-disk store;
@@ -228,75 +194,66 @@ impl LabConfig {
     /// * `MSP_BENCH_JOURNAL_DIR` — directory of the crash-resumable
     ///   experiment journal; a non-empty path (created if missing).
     ///
-    /// Unset variables use the [`Default`] values; set-but-invalid ones are
-    /// a [`LabConfigError`].
+    /// The three sampling knobs build [`LabConfig::sampling`]. Unset
+    /// variables use the [`Default`] values; set-but-invalid ones are a
+    /// [`LabConfigError`].
     pub fn from_env() -> Result<LabConfig, LabConfigError> {
-        // `env::var_os` + explicit UTF-8 conversion: a non-UTF-8 value must
-        // surface as an error like any other garbage, not be treated as
-        // unset (which `env::var(..).ok()` would silently do).
-        fn read(var: &'static str) -> Result<Option<String>, LabConfigError> {
-            match std::env::var_os(var) {
-                None => Ok(None),
-                Some(value) => match value.into_string() {
-                    Ok(value) => Ok(Some(value)),
-                    Err(raw) => Err(LabConfigError {
-                        var,
-                        value: raw.to_string_lossy().into_owned(),
-                        reason: "not valid UTF-8",
-                    }),
-                },
-            }
-        }
-        Self::from_vars(
-            read("MSP_BENCH_INSTRUCTIONS")?.as_deref(),
-            read("MSP_BENCH_THREADS")?.as_deref(),
-            read("MSP_BENCH_TRACE_CACHE_BYTES")?.as_deref(),
-            read("MSP_BENCH_SAMPLE_INTERVAL")?.as_deref(),
-            read("MSP_BENCH_SAMPLE_PLAN")?.as_deref(),
-            read("MSP_BENCH_SAMPLE_TARGET_STDERR")?.as_deref(),
-            read("MSP_BENCH_TRACE_DIR")?.as_deref(),
-            read("MSP_BENCH_TRACE_STORE_BYTES")?.as_deref(),
-            read("MSP_BENCH_JOURNAL_DIR")?.as_deref(),
-        )
+        Self::from_vars(std::env::var_os)
     }
 
-    /// [`LabConfig::from_env`] with the variable values passed explicitly
-    /// (`None` = unset), so the parsing rules are testable without mutating
-    /// the process environment.
-    #[allow(clippy::too_many_arguments)]
+    /// [`LabConfig::from_env`] reading each variable through `var` (`None` =
+    /// unset), so the parsing rules are testable without mutating the
+    /// process environment, and `msp-lab`'s sampling flags reach them as
+    /// the values of the variables they override.
     pub fn from_vars(
-        instructions: Option<&str>,
-        threads: Option<&str>,
-        trace_cache_bytes: Option<&str>,
-        sample_interval: Option<&str>,
-        sample_plan: Option<&str>,
-        sample_target_stderr: Option<&str>,
-        trace_dir: Option<&str>,
-        trace_store_bytes: Option<&str>,
-        journal_dir: Option<&str>,
+        var: impl Fn(&'static str) -> Option<OsString>,
     ) -> Result<LabConfig, LabConfigError> {
-        let defaults = LabConfig::default();
-        fn parse_dir(
-            var: &'static str,
-            value: Option<&str>,
-        ) -> Result<Option<PathBuf>, LabConfigError> {
-            match value {
-                None => Ok(None),
+        // A non-UTF-8 value must surface as an error like any other garbage,
+        // not be treated as unset.
+        let read = |name: &'static str| -> Result<Option<String>, LabConfigError> {
+            var(name)
+                .map(|value| {
+                    value.into_string().map_err(|raw| LabConfigError {
+                        var: name,
+                        value: raw.to_string_lossy().into_owned(),
+                        reason: "not valid UTF-8",
+                    })
+                })
+                .transpose()
+        };
+        let parse_dir = |name: &'static str| -> Result<Option<PathBuf>, LabConfigError> {
+            match read(name)? {
                 Some(value) if value.trim().is_empty() => Err(LabConfigError {
-                    var,
-                    value: value.to_string(),
+                    var: name,
+                    value,
                     reason: "must be a non-empty directory path",
                 }),
-                Some(value) => Ok(Some(PathBuf::from(value))),
+                value => Ok(value.map(PathBuf::from)),
             }
-        }
-        let trace_dir = parse_dir("MSP_BENCH_TRACE_DIR", trace_dir)?;
-        let journal_dir = parse_dir("MSP_BENCH_JOURNAL_DIR", journal_dir)?;
-        let sample_plan = match sample_plan.map(str::trim) {
-            None => defaults.sample_plan,
-            Some("periodic") => SamplePlanKind::Periodic,
-            Some("phases") => SamplePlanKind::PhaseAware,
-            Some("adaptive") => SamplePlanKind::Adaptive,
+        };
+        let number = |name: &'static str, default: u64, require_nonzero: bool| {
+            parse_var(name, read(name)?.as_deref(), default, require_nonzero)
+        };
+        let defaults = LabConfig::default();
+        let interval = number("MSP_BENCH_SAMPLE_INTERVAL", DEFAULT_SAMPLE_INTERVAL, true)?;
+        let target = match read("MSP_BENCH_SAMPLE_TARGET_STDERR")? {
+            None => DEFAULT_SAMPLE_TARGET_STDERR,
+            Some(value) => value
+                .trim()
+                .parse::<f64>()
+                .ok()
+                .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
+                .ok_or(LabConfigError {
+                    var: "MSP_BENCH_SAMPLE_TARGET_STDERR",
+                    value,
+                    reason: "must be a number strictly between 0 and 1",
+                })?,
+        };
+        let plan = read("MSP_BENCH_SAMPLE_PLAN")?;
+        let sampling = match plan.as_deref().map(str::trim) {
+            None | Some("periodic") => SamplingPlan::periodic(interval),
+            Some("phases") => SamplingPlan::phase_aware(interval),
+            Some("adaptive") => SamplingPlan::adaptive(target).with_interval(interval),
             Some(other) => {
                 return Err(LabConfigError {
                     var: "MSP_BENCH_SAMPLE_PLAN",
@@ -305,67 +262,23 @@ impl LabConfig {
                 })
             }
         };
-        let sample_target_stderr = match sample_target_stderr {
-            None => defaults.sample_target_stderr,
-            Some(value) => {
-                let parsed = value
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0);
-                parsed.ok_or_else(|| LabConfigError {
-                    var: "MSP_BENCH_SAMPLE_TARGET_STDERR",
-                    value: value.to_string(),
-                    reason: "must be a number strictly between 0 and 1",
-                })?
-            }
-        };
         Ok(LabConfig {
-            instructions: parse_var(
-                "MSP_BENCH_INSTRUCTIONS",
-                instructions,
-                defaults.instructions,
-                true,
-            )?,
-            threads: parse_var("MSP_BENCH_THREADS", threads, defaults.threads as u64, true)?
-                as usize,
-            trace_cache_bytes: parse_var(
+            instructions: number("MSP_BENCH_INSTRUCTIONS", defaults.instructions, true)?,
+            threads: number("MSP_BENCH_THREADS", defaults.threads as u64, true)? as usize,
+            trace_cache_bytes: number(
                 "MSP_BENCH_TRACE_CACHE_BYTES",
-                trace_cache_bytes,
                 defaults.trace_cache_bytes as u64,
                 false,
             )? as usize,
-            sample_interval: parse_var(
-                "MSP_BENCH_SAMPLE_INTERVAL",
-                sample_interval,
-                defaults.sample_interval,
-                true,
-            )?,
-            sample_plan,
-            sample_target_stderr,
-            trace_dir,
-            trace_store_bytes: parse_var(
+            sampling,
+            trace_dir: parse_dir("MSP_BENCH_TRACE_DIR")?,
+            trace_store_bytes: number(
                 "MSP_BENCH_TRACE_STORE_BYTES",
-                trace_store_bytes,
                 defaults.trace_store_bytes,
                 false,
             )?,
-            journal_dir,
+            journal_dir: parse_dir("MSP_BENCH_JOURNAL_DIR")?,
         })
-    }
-
-    /// The [`SamplingPlan`] a flag-driven `--sample` run uses: the
-    /// configured [`LabConfig::sample_plan`] kind at
-    /// [`LabConfig::sample_interval`] (with
-    /// [`LabConfig::sample_target_stderr`] as the adaptive stopping
-    /// target).
-    pub fn sampling_plan(&self) -> SamplingPlan {
-        match self.sample_plan {
-            SamplePlanKind::Periodic => SamplingPlan::periodic(self.sample_interval),
-            SamplePlanKind::PhaseAware => SamplingPlan::phase_aware(self.sample_interval),
-            SamplePlanKind::Adaptive => SamplingPlan::adaptive(self.sample_target_stderr)
-                .with_interval(self.sample_interval),
-        }
     }
 }
 
@@ -478,63 +391,30 @@ impl TraceCache {
     }
 }
 
-/// A resolved shared trace: either a materialised in-memory [`Trace`] or a
-/// verified on-disk file streamed on demand. Each simulation opens its own
-/// [`TraceSource`] view (an `Arc` clone or a fresh cursor), so one resolved
-/// trace serves every cell and worker thread of a sweep.
-#[derive(Debug, Clone)]
-enum SharedTrace {
-    Memory(Arc<Trace>),
-    Disk(Arc<TraceReader>),
-}
-
-impl SharedTrace {
-    fn open_source(&self) -> TraceSource {
-        match self {
-            SharedTrace::Memory(trace) => TraceSource::from(Arc::clone(trace)),
-            SharedTrace::Disk(reader) => TraceSource::from(
-                reader
-                    .cursor()
-                    .expect("trace store file vanished while in use"),
-            ),
-        }
-    }
-
-    fn has_checkpoint_at(&self, index: u64) -> bool {
-        match self {
-            SharedTrace::Memory(trace) => trace.checkpoint_at(index).is_some(),
-            SharedTrace::Disk(reader) => reader.has_checkpoint_at(index),
-        }
-    }
-
-    /// The per-interval basic-block vectors of this trace, for phase
-    /// clustering. Materialised traces carry them and disk traces read the
-    /// stored chunk. The file verified at open, so a failed read is I/O
-    /// trouble: it warns and derives them with one streaming pass over the
-    /// records, through the same [`BbvAccumulator`] the capture ran, so
-    /// every route produces identical signatures.
-    fn bbvs(&self, program: &Program, interval: u64) -> Vec<BbvSignature> {
-        match self {
-            SharedTrace::Memory(trace) => trace.bbvs().to_vec(),
-            SharedTrace::Disk(reader) => match reader.read_bbvs() {
-                Ok(bbvs) => bbvs,
-                Err(e) => {
-                    eprintln!(
-                        "msp-bench: failed to read the BBVs of stored trace {} ({e}); \
-                         deriving them from its records",
-                        reader.path().display()
-                    );
-                    let mut acc = BbvAccumulator::new(interval);
-                    let mut source = self.open_source();
-                    let mut index = 0;
-                    while let Some(rec) = source.get(program, index) {
-                        acc.observe(rec);
-                        index += 1;
-                    }
-                    acc.finish()
-                }
-            },
-        }
+/// The per-interval basic-block vectors of a resolved trace, for phase
+/// clustering. Materialised traces carry them and streamed ones read the
+/// stored chunk. The file verified at open, so a failed read is I/O
+/// trouble: it warns and derives them with one streaming pass over the
+/// records, through the same [`BbvAccumulator`] the capture ran, so every
+/// route produces identical signatures.
+fn trace_bbvs(trace: &TraceSource, program: &Program, interval: u64) -> Vec<BbvSignature> {
+    match trace {
+        TraceSource::Materialised(trace) => trace.bbvs().to_vec(),
+        TraceSource::Streaming(cursor) => cursor.reader().read_bbvs().unwrap_or_else(|e| {
+            eprintln!(
+                "msp-bench: failed to read the BBVs of stored trace {} ({e}); \
+                 deriving them from its records",
+                cursor.reader().path().display()
+            );
+            let mut acc = BbvAccumulator::new(interval);
+            let mut source = trace.clone();
+            let mut index = 0;
+            while let Some(rec) = source.get(program, index) {
+                acc.observe(rec);
+                index += 1;
+            }
+            acc.finish()
+        }),
     }
 }
 
@@ -662,8 +542,8 @@ impl Lab {
         checkpoint_interval: u64,
     ) -> Arc<Trace> {
         match self.resolve_trace(workload, instructions, checkpoint_interval, false) {
-            SharedTrace::Memory(trace) => trace,
-            SharedTrace::Disk(_) => unreachable!("materialised resolution never returns Disk"),
+            TraceSource::Materialised(trace) => trace,
+            TraceSource::Streaming(_) => unreachable!("materialised resolution never streams"),
         }
     }
 
@@ -681,7 +561,7 @@ impl Lab {
         instructions: u64,
         checkpoint_interval: u64,
         allow_streaming: bool,
-    ) -> SharedTrace {
+    ) -> TraceSource {
         let key = (
             workload.name().to_string(),
             workload.variant(),
@@ -693,7 +573,7 @@ impl Lab {
             let mut cache = self.lock_cache();
             if let Some(trace) = cache.get(&key) {
                 cache.mem_hits += 1;
-                return SharedTrace::Memory(trace);
+                return TraceSource::Materialised(trace);
             }
         }
         let program = workload.program();
@@ -709,11 +589,14 @@ impl Lab {
             if let Some(reader) = store.open_reader(program, budget, checkpoint_interval) {
                 self.lock_cache().disk_hits += 1;
                 if stream {
-                    return SharedTrace::Disk(reader);
+                    let cursor = reader.cursor();
+                    return cursor
+                        .expect("trace store file vanished while in use")
+                        .into();
                 }
                 match reader.read_trace(program) {
                     Ok(trace) => {
-                        return SharedTrace::Memory(self.lock_cache().insert(
+                        return TraceSource::Materialised(self.lock_cache().insert(
                             key,
                             Arc::new(trace),
                             self.config.trace_cache_bytes,
@@ -745,7 +628,10 @@ impl Lab {
                 match streamed {
                     Ok(reader) => {
                         self.lock_cache().captures += 1;
-                        return SharedTrace::Disk(Arc::new(reader));
+                        let cursor = Arc::new(reader).cursor();
+                        return cursor
+                            .expect("trace store file vanished while in use")
+                            .into();
                     }
                     Err(e) => self.warn_store_once(&format!(
                         "trace store at {} failed ({e}); continuing memory-only",
@@ -771,7 +657,7 @@ impl Lab {
         }
         let mut cache = self.lock_cache();
         cache.captures += 1;
-        SharedTrace::Memory(cache.insert(key, trace, self.config.trace_cache_bytes))
+        TraceSource::Materialised(cache.insert(key, trace, self.config.trace_cache_bytes))
     }
 
     /// Ensures the trace of `(workload, instructions)` — checkpointed every
@@ -904,10 +790,10 @@ impl Lab {
     /// that resumes one of its windows and dropped when the last such unit
     /// finishes, so the run holds the trajectories of at most as many
     /// workloads as it has workers ([`Lab::peak_trajectory_count`]). The
-    /// plan decides where the windows go: one per interval
-    /// ([`SamplingPlan::Periodic`]), one per clustered program phase
-    /// ([`SamplingPlan::PhaseAware`]), or incrementally until a target
-    /// confidence ([`SamplingPlan::Adaptive`]).
+    /// plan's [`Placement`] decides where the windows go: one per interval
+    /// ([`Placement::Periodic`]), one per clustered program phase
+    /// ([`Placement::Phases`]), or incrementally until a target confidence
+    /// ([`Placement::Adaptive`]).
     ///
     /// # Panics
     ///
@@ -945,7 +831,7 @@ impl Lab {
         // no windows. Everything below works on the pending cells only. An
         // exact run reads a trace without checkpoints (interval 0).
         let (mut cells, pending) = self.replay_journaled(&sweep);
-        let interval = plan.map_or(0, |plan| plan.interval());
+        let interval = plan.map_or(0, |plan| plan.interval);
         let traces = self.resolve_pending_traces(&sweep, &pending, interval);
         let trace_of = |flat: usize| {
             traces[axes.coordinates(flat).0]
@@ -965,7 +851,7 @@ impl Lab {
                 })
                 .collect(),
             Some(plan) => {
-                let (detail_len, warmup_len) = (plan.detail_len(), plan.warmup_len());
+                let (detail_len, warmup_len) = (plan.detail_len, plan.warmup_len);
                 // The head stratum, measured exactly from a cold machine: it
                 // counts the one-time cold-start transient that sampled
                 // windows would misrepresent. A third of an interval bounds
@@ -1011,17 +897,15 @@ impl Lab {
                     .iter()
                     .map(|&flat| {
                         let mut adaptive = None;
-                        let tail: Vec<Window> = match plan {
-                            SamplingPlan::Periodic { .. } => {
+                        let tail: Vec<Window> = match plan.placement {
+                            Placement::Periodic => {
                                 tail_starts(flat).into_iter().map(window_at).collect()
                             }
-                            SamplingPlan::PhaseAware {
-                                max_phases, seed, ..
-                            } => {
+                            Placement::Phases { max_phases, seed } => {
                                 let (w, ..) = axes.coordinates(flat);
                                 let program = axes.workloads[w].program();
                                 let representatives = phases[w].get_or_insert_with(|| {
-                                    let bbvs = trace_of(flat).bbvs(program, interval);
+                                    let bbvs = trace_bbvs(trace_of(flat), program, interval);
                                     let starts = tail_starts(flat);
                                     phase_representatives(
                                         &bbvs, &starts, interval, span_at, max_phases, seed,
@@ -1035,10 +919,9 @@ impl Lab {
                                     })
                                     .collect()
                             }
-                            SamplingPlan::Adaptive {
+                            Placement::Adaptive {
                                 target_rel_stderr,
                                 max_windows,
-                                ..
                             } => {
                                 // Candidates in bit-reversed (low-discrepancy)
                                 // order, so every prefix spreads over the
@@ -1072,10 +955,10 @@ impl Lab {
         // cell is all head.)
         let head_only = plans.iter().filter(|cell| cell.windows.len() == 1).count();
         if let (Some(plan), 1..) = (plan, head_only) {
-            let name = match plan {
-                SamplingPlan::Periodic { .. } => "periodic",
-                SamplingPlan::PhaseAware { .. } => "phases",
-                SamplingPlan::Adaptive { .. } => "adaptive",
+            let name = match plan.placement {
+                Placement::Periodic => "periodic",
+                Placement::Phases { .. } => "phases",
+                Placement::Adaptive { .. } => "adaptive",
             };
             eprintln!(
                 "msp-bench: warning: {name} sampling measures only the head window in \
@@ -1095,7 +978,7 @@ impl Lab {
             let (w, ..) = axes.coordinates(flat);
             let program = axes.workloads[w].program();
             let config = sweep.configs[flat].clone();
-            let source = trace_of(flat).open_source();
+            let source = trace_of(flat).clone();
             if window.start == 0 {
                 return Simulator::with_trace(program, config, source).run(window.detail);
             }
@@ -1227,9 +1110,9 @@ impl Lab {
         sweep: &Sweep<'_>,
         pending: &[usize],
         checkpoint_interval: u64,
-    ) -> Vec<Option<SharedTrace>> {
+    ) -> Vec<Option<TraceSource>> {
         let axes = &sweep.axes;
-        let mut traces: Vec<Option<SharedTrace>> = vec![None; axes.workloads.len()];
+        let mut traces: Vec<Option<TraceSource>> = vec![None; axes.workloads.len()];
         for &flat in pending {
             let (w, ..) = axes.coordinates(flat);
             if traces[w].is_none() {
@@ -1383,7 +1266,7 @@ impl Trajectory {
     fn snapshots(
         &self,
         sweep: &Sweep<'_>,
-        trace: &SharedTrace,
+        trace: &TraceSource,
         interval: u64,
         tally: &WarmTally,
     ) -> Arc<Vec<WarmState>> {
@@ -1401,9 +1284,9 @@ impl Trajectory {
     /// The warm pass: streams the trace through its own source view, so a
     /// disk-resident trace costs one cursor window, not a materialisation.
     /// It stops early where the program ends.
-    fn warm(&self, sweep: &Sweep<'_>, trace: &SharedTrace, interval: u64) -> Vec<WarmState> {
+    fn warm(&self, sweep: &Sweep<'_>, trace: &TraceSource, interval: u64) -> Vec<WarmState> {
         let program = sweep.axes.workloads[self.workload].program();
-        let mut source = trace.open_source();
+        let mut source = trace.clone();
         let mut warm = WarmState::for_config(program, &sweep.configs[self.first]);
         let mut snapshots = Vec::new();
         let mut index = 0;

@@ -48,11 +48,11 @@
 //! pipeline fill, measures `detail_len` committed instructions in detail,
 //! and the per-window statistics fold into a [`SampledStats`] mean-IPC
 //! estimate with a relative-error figure. An exact run is the same pipeline with
-//! one cold window spanning the budget. The plan picks the windows:
-//! [`SamplingPlan::Periodic`] measures every interval (SMARTS),
-//! [`SamplingPlan::PhaseAware`] clusters the interval BBVs and measures one
+//! one cold window spanning the budget. The plan's [`Placement`] picks the
+//! windows: [`Placement::Periodic`] measures every interval (SMARTS),
+//! [`Placement::Phases`] clusters the interval BBVs and measures one
 //! weighted representative per program phase (SimPoint), and
-//! [`SamplingPlan::Adaptive`] keeps adding windows until the estimate's
+//! [`Placement::Adaptive`] keeps adding windows until the estimate's
 //! relative standard error reaches a target. This is what makes
 //! multi-million-instruction budgets tractable — see the `msp-lab
 //! --sample` flag and DESIGN.md's phase-aware-sampling section.
@@ -85,13 +85,13 @@ pub use energy::{energy_model_for, EnergyStats, SampledEnergy, REFERENCE_NODE};
 pub use experiment::{Cell, ConfigHook, Experiment, ResultSet};
 pub use journal::{cell_fingerprint, ExperimentJournal, JOURNAL_FORMAT_VERSION};
 pub use lab::{
-    Lab, LabConfig, LabConfigError, SamplePlanKind, DEFAULT_INSTRUCTIONS, DEFAULT_SAMPLE_INTERVAL,
+    Lab, LabConfig, LabConfigError, DEFAULT_INSTRUCTIONS, DEFAULT_SAMPLE_INTERVAL,
     DEFAULT_SAMPLE_TARGET_STDERR, DEFAULT_TRACE_CACHE_BYTES,
 };
 pub use report::{csv_row, json_string, parse_csv_record, Block, OutputFormat, Report};
 pub use reports::{GoldenSpec, ReportKind};
 pub use sampling::{
-    adaptive_window_order, cluster_phases, PhaseAssignment, SampledStats, SamplingPlan,
+    adaptive_window_order, cluster_phases, PhaseAssignment, Placement, SampledStats, SamplingPlan,
     DEFAULT_CLUSTER_SEED, DEFAULT_MAX_PHASES, DEFAULT_MAX_WINDOWS,
 };
 pub use store::{GcReport, StoreEntry, TraceStore, DEFAULT_TRACE_STORE_BYTES};
@@ -326,26 +326,12 @@ mod tests {
     }
 
     /// `LabConfig::from_vars` with every variable unset except the named
-    /// overrides, so the strict-parsing assertions below stay readable as
-    /// the knob list grows.
+    /// overrides.
     fn vars(overrides: &[(&'static str, &str)]) -> Result<LabConfig, LabConfigError> {
-        let get = |var: &str| {
-            overrides
-                .iter()
-                .find(|(v, _)| *v == var)
-                .map(|(_, value)| *value)
-        };
-        LabConfig::from_vars(
-            get("MSP_BENCH_INSTRUCTIONS"),
-            get("MSP_BENCH_THREADS"),
-            get("MSP_BENCH_TRACE_CACHE_BYTES"),
-            get("MSP_BENCH_SAMPLE_INTERVAL"),
-            get("MSP_BENCH_SAMPLE_PLAN"),
-            get("MSP_BENCH_SAMPLE_TARGET_STDERR"),
-            get("MSP_BENCH_TRACE_DIR"),
-            get("MSP_BENCH_TRACE_STORE_BYTES"),
-            get("MSP_BENCH_JOURNAL_DIR"),
-        )
+        LabConfig::from_vars(|var| {
+            let value = overrides.iter().find(|(v, _)| *v == var);
+            value.map(|(_, value)| value.into())
+        })
     }
 
     #[test]
@@ -394,55 +380,69 @@ mod tests {
         assert!(vars(&[("MSP_BENCH_TRACE_STORE_BYTES", "big")]).is_err());
         // The sampling-plan knobs parse strictly too: only the three
         // documented spellings, and only targets strictly inside (0, 1).
+        let default_interval = DEFAULT_SAMPLE_INTERVAL;
         assert_eq!(
             vars(&[("MSP_BENCH_SAMPLE_PLAN", "periodic")])
                 .unwrap()
-                .sample_plan,
-            SamplePlanKind::Periodic
+                .sampling,
+            SamplingPlan::periodic(default_interval)
         );
         assert_eq!(
             vars(&[("MSP_BENCH_SAMPLE_PLAN", " phases ")])
                 .unwrap()
-                .sample_plan,
-            SamplePlanKind::PhaseAware
+                .sampling,
+            SamplingPlan::phase_aware(default_interval)
         );
         assert_eq!(
             vars(&[("MSP_BENCH_SAMPLE_PLAN", "adaptive")])
                 .unwrap()
-                .sample_plan,
-            SamplePlanKind::Adaptive
+                .sampling,
+            SamplingPlan::adaptive(DEFAULT_SAMPLE_TARGET_STDERR)
         );
         for bad in ["simpoint", "Periodic", "", "phase"] {
             let err = vars(&[("MSP_BENCH_SAMPLE_PLAN", bad)]).unwrap_err();
             assert_eq!(err.var, "MSP_BENCH_SAMPLE_PLAN");
         }
+        // A target is checked, and kept, whichever plan the variables name.
         assert_eq!(
             vars(&[("MSP_BENCH_SAMPLE_TARGET_STDERR", "0.05")])
                 .unwrap()
-                .sample_target_stderr,
-            0.05
+                .sampling,
+            SamplingPlan::periodic(default_interval)
+        );
+        assert_eq!(
+            vars(&[
+                ("MSP_BENCH_SAMPLE_TARGET_STDERR", "0.05"),
+                ("MSP_BENCH_SAMPLE_PLAN", "adaptive"),
+            ])
+            .unwrap()
+            .sampling,
+            SamplingPlan::adaptive(0.05)
         );
         for bad in ["0", "1", "1.5", "-0.1", "NaN", "inf", "five%", ""] {
             let err = vars(&[("MSP_BENCH_SAMPLE_TARGET_STDERR", bad)]).unwrap_err();
             assert_eq!(err.var, "MSP_BENCH_SAMPLE_TARGET_STDERR");
         }
-        // The derived flag-driven plan reflects the parsed kind.
+        // The plan reflects every sampling knob at once.
         let config = vars(&[
             ("MSP_BENCH_SAMPLE_PLAN", "adaptive"),
             ("MSP_BENCH_SAMPLE_TARGET_STDERR", "0.03"),
             ("MSP_BENCH_SAMPLE_INTERVAL", "1000"),
         ])
         .unwrap();
-        match config.sampling_plan() {
-            SamplingPlan::Adaptive {
-                interval,
-                target_rel_stderr,
-                ..
-            } => {
-                assert_eq!(interval, 1_000);
-                assert_eq!(target_rel_stderr, 0.03);
-            }
-            other => panic!("expected an adaptive plan, got {other:?}"),
+        assert_eq!(
+            config.sampling,
+            SamplingPlan::adaptive(0.03).with_interval(1_000)
+        );
+        // A non-UTF-8 value is an error naming its variable, not "unset".
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let err = LabConfig::from_vars(|var| {
+                (var == "MSP_BENCH_TRACE_DIR").then(|| std::ffi::OsString::from_vec(vec![0xff]))
+            })
+            .unwrap_err();
+            assert_eq!(err.var, "MSP_BENCH_TRACE_DIR");
         }
     }
 

@@ -17,16 +17,15 @@
 //! relative-error figure, which the `msp-lab` emitters render alongside
 //! exact runs.
 //!
-//! The three plans differ in **where** the windows go:
+//! Every plan has one window shape (`interval`, `detail_len`,
+//! `warmup_len`); its [`Placement`] decides **where** the windows go:
 //!
-//! * [`SamplingPlan::Periodic`] measures one window per interval — the
-//!   PR 4 behaviour, bit-identical results included.
-//! * [`SamplingPlan::PhaseAware`] clusters the intervals' basic-block
-//!   vectors ([`cluster_phases`]) and measures **one window per phase**,
-//!   weighted by the phase's population — the SimPoint discipline. Same
-//!   accuracy from far fewer detailed instructions on phase-structured
-//!   workloads.
-//! * [`SamplingPlan::Adaptive`] keeps adding periodic windows in a
+//! * [`Placement::Periodic`] measures one window per interval (SMARTS).
+//! * [`Placement::Phases`] clusters the intervals' basic-block vectors
+//!   ([`cluster_phases`]) and measures **one window per phase**, weighted
+//!   by the phase's population — the SimPoint discipline. Same accuracy
+//!   from far fewer detailed instructions on phase-structured workloads.
+//! * [`Placement::Adaptive`] keeps adding periodic windows in a
 //!   low-discrepancy order ([`adaptive_window_order`]) until the estimate's
 //!   `ipc_rel_stderr` reaches a requested target, then stops.
 //!
@@ -54,52 +53,48 @@ pub const DEFAULT_CLUSTER_SEED: u64 = 0x5EED_CAFE;
 /// Default cap on adaptively-added windows ([`SamplingPlan::adaptive`]).
 pub const DEFAULT_MAX_WINDOWS: usize = 64;
 
-/// How a sampled experiment places its detailed windows.
+/// A sampled experiment's plan: the shape of its detailed windows, and
+/// where they go.
 ///
 /// Attach to an [`Experiment`](crate::Experiment) with
 /// [`Experiment::sampling`](crate::Experiment::sampling). Construct with
 /// [`SamplingPlan::periodic`], [`SamplingPlan::phase_aware`] or
-/// [`SamplingPlan::adaptive`] and refine with the `with_*` builder methods,
-/// or spell out a variant literally for full control.
+/// [`SamplingPlan::adaptive`] and refine with [`SamplingPlan::with_interval`]
+/// and [`SamplingPlan::with_window`], or write the struct out for full
+/// control.
 ///
-/// Every variant shares the window shape (`interval`, `detail_len`,
-/// `warmup_len`); the variant decides which intervals get a window and how
-/// each window is weighted in the estimate. (This enum replaced the old
-/// three-field `SamplingSpec` struct — see the migration table in
-/// DESIGN.md.)
+/// Every plan states its window shape once (`interval`, `detail_len`,
+/// `warmup_len`); the [`Placement`] decides which intervals get a window
+/// and how each window is weighted in the estimate. (This struct replaced
+/// the old three-field `SamplingSpec` and the one-variant-per-placement
+/// enum after it — see the migration table in DESIGN.md.)
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SamplingPlan {
+pub struct SamplingPlan {
+    /// Committed instructions between consecutive interval starts (also the
+    /// trace's checkpoint and BBV spacing). Positive.
+    pub interval: u64,
+    /// Committed instructions measured in detail per window. Positive.
+    pub detail_len: u64,
+    /// Committed instructions of warm-up run before measurement starts in
+    /// each window and excluded from it. `Lab::run` runs it in **detail**
+    /// from the cumulative warm snapshot: it refills the pipeline, queues
+    /// and in-flight state the snapshot cannot carry.
+    pub warmup_len: u64,
+    /// Where the windows go.
+    pub placement: Placement,
+}
+
+/// Where a [`SamplingPlan`] places its detailed windows.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Placement {
     /// One detailed window every `interval` committed instructions — the
     /// SMARTS-style systematic design.
-    Periodic {
-        /// Committed instructions between consecutive interval starts (also
-        /// the trace's checkpoint spacing). Positive.
-        interval: u64,
-        /// Committed instructions measured in detail per window. Positive.
-        detail_len: u64,
-        /// Committed instructions of warm-up run before measurement starts
-        /// in each window and excluded from it. In `Lab::run`'s sampled path
-        /// the window runs in **detail** from the cumulative warm snapshot
-        /// (it refills the pipeline, queues and in-flight state the snapshot
-        /// cannot carry); for a standalone `Simulator::resume_from` it is
-        /// the functional warm window replayed into the caches and
-        /// predictors.
-        warmup_len: u64,
-    },
+    Periodic,
     /// One detailed window per **program phase**: the per-interval
     /// basic-block vectors are clustered ([`cluster_phases`]) and each
     /// cluster's most central interval is measured, weighted by the
     /// cluster's population — the SimPoint design.
-    PhaseAware {
-        /// As in [`SamplingPlan::Periodic`]: interval length, also the
-        /// BBV/checkpoint spacing.
-        interval: u64,
-        /// Committed instructions measured in detail per representative
-        /// window. Positive.
-        detail_len: u64,
-        /// Warm-up instructions per window, as in
-        /// [`SamplingPlan::Periodic`].
-        warmup_len: u64,
+    Phases {
         /// Upper bound on the number of phases (k-means clusters); the BIC
         /// criterion picks the actual count. Positive.
         max_phases: usize,
@@ -111,12 +106,6 @@ pub enum SamplingPlan {
     /// until the estimate's relative standard error reaches
     /// `target_rel_stderr` or `max_windows` windows have been measured.
     Adaptive {
-        /// As in [`SamplingPlan::Periodic`].
-        interval: u64,
-        /// As in [`SamplingPlan::Periodic`].
-        detail_len: u64,
-        /// As in [`SamplingPlan::Periodic`].
-        warmup_len: u64,
         /// Stop once `ipc_rel_stderr` is at or below this. In `(0, 1)`.
         target_rel_stderr: f64,
         /// Hard cap on measured periodic windows per cell, reached when the
@@ -125,14 +114,24 @@ pub enum SamplingPlan {
     },
 }
 
-/// The default window shape for a given interval: 2.5% measured in detail
-/// after a third-of-detail warm-up window.
-fn derived_window(interval: u64) -> (u64, u64) {
-    let detail_len = (interval / 40).max(1);
-    (detail_len, (detail_len / 3).min(interval - detail_len))
-}
-
 impl SamplingPlan {
+    /// `placement` with the default window shape for `interval`: 2.5%
+    /// measured in detail after a third-of-detail warm-up window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `interval` is zero.
+    fn derived(interval: u64, placement: Placement) -> SamplingPlan {
+        assert!(interval > 0, "sampling interval must be positive");
+        let detail_len = (interval / 40).max(1);
+        SamplingPlan {
+            interval,
+            detail_len,
+            warmup_len: (detail_len / 3).min(interval - detail_len),
+            placement,
+        }
+    }
+
     /// The default periodic plan for a given interval: 2.5% measured in
     /// detail after a third-of-detail warm-up window. The caches and
     /// predictors carry the whole prefix's history via the Lab's cumulative
@@ -147,13 +146,7 @@ impl SamplingPlan {
     ///
     /// Panics if `interval` is zero.
     pub fn periodic(interval: u64) -> SamplingPlan {
-        assert!(interval > 0, "sampling interval must be positive");
-        let (detail_len, warmup_len) = derived_window(interval);
-        SamplingPlan::Periodic {
-            interval,
-            detail_len,
-            warmup_len,
-        }
+        SamplingPlan::derived(interval, Placement::Periodic)
     }
 
     /// The default phase-aware plan for a given interval: the
@@ -164,15 +157,13 @@ impl SamplingPlan {
     ///
     /// Panics if `interval` is zero.
     pub fn phase_aware(interval: u64) -> SamplingPlan {
-        assert!(interval > 0, "sampling interval must be positive");
-        let (detail_len, warmup_len) = derived_window(interval);
-        SamplingPlan::PhaseAware {
+        SamplingPlan::derived(
             interval,
-            detail_len,
-            warmup_len,
-            max_phases: DEFAULT_MAX_PHASES,
-            seed: DEFAULT_CLUSTER_SEED,
-        }
+            Placement::Phases {
+                max_phases: DEFAULT_MAX_PHASES,
+                seed: DEFAULT_CLUSTER_SEED,
+            },
+        )
     }
 
     /// The default adaptive plan for a target relative standard error (e.g.
@@ -184,15 +175,13 @@ impl SamplingPlan {
     ///
     /// Panics if `target_rel_stderr` is not in `(0, 1)`.
     pub fn adaptive(target_rel_stderr: f64) -> SamplingPlan {
-        let interval = crate::lab::DEFAULT_SAMPLE_INTERVAL;
-        let (detail_len, warmup_len) = derived_window(interval);
-        let plan = SamplingPlan::Adaptive {
-            interval,
-            detail_len,
-            warmup_len,
-            target_rel_stderr,
-            max_windows: DEFAULT_MAX_WINDOWS,
-        };
+        let plan = SamplingPlan::derived(
+            crate::lab::DEFAULT_SAMPLE_INTERVAL,
+            Placement::Adaptive {
+                target_rel_stderr,
+                max_windows: DEFAULT_MAX_WINDOWS,
+            },
+        );
         plan.assert_valid();
         plan
     }
@@ -205,172 +194,35 @@ impl SamplingPlan {
     ///
     /// Panics if `interval` is zero.
     pub fn with_interval(self, interval: u64) -> SamplingPlan {
-        assert!(interval > 0, "sampling interval must be positive");
-        let (detail_len, warmup_len) = derived_window(interval);
-        match self {
-            SamplingPlan::Periodic { .. } => SamplingPlan::Periodic {
-                interval,
-                detail_len,
-                warmup_len,
-            },
-            SamplingPlan::PhaseAware {
-                max_phases, seed, ..
-            } => SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                max_phases,
-                seed,
-            },
-            SamplingPlan::Adaptive {
-                target_rel_stderr,
-                max_windows,
-                ..
-            } => SamplingPlan::Adaptive {
-                interval,
-                detail_len,
-                warmup_len,
-                target_rel_stderr,
-                max_windows,
-            },
-        }
+        SamplingPlan::derived(interval, self.placement)
     }
 
     /// This plan with an explicit `detail_len`/`warmup_len` window shape
     /// (validated by [`SamplingPlan::assert_valid`] at run time).
     pub fn with_window(self, detail_len: u64, warmup_len: u64) -> SamplingPlan {
-        match self {
-            SamplingPlan::Periodic { interval, .. } => SamplingPlan::Periodic {
-                interval,
-                detail_len,
-                warmup_len,
-            },
-            SamplingPlan::PhaseAware {
-                interval,
-                max_phases,
-                seed,
-                ..
-            } => SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                max_phases,
-                seed,
-            },
-            SamplingPlan::Adaptive {
-                interval,
-                target_rel_stderr,
-                max_windows,
-                ..
-            } => SamplingPlan::Adaptive {
-                interval,
-                detail_len,
-                warmup_len,
-                target_rel_stderr,
-                max_windows,
-            },
+        SamplingPlan {
+            detail_len,
+            warmup_len,
+            ..self
         }
     }
 
-    /// This plan with a different phase cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plan is [`SamplingPlan::PhaseAware`].
-    pub fn with_max_phases(self, max_phases: usize) -> SamplingPlan {
-        match self {
-            SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                seed,
-                ..
-            } => SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                max_phases,
-                seed,
-            },
-            other => panic!("with_max_phases applies to PhaseAware plans only, not {other:?}"),
-        }
-    }
-
-    /// This plan with a different clustering seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plan is [`SamplingPlan::PhaseAware`].
-    pub fn with_seed(self, seed: u64) -> SamplingPlan {
-        match self {
-            SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                max_phases,
-                ..
-            } => SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                max_phases,
-                seed,
-            },
-            other => panic!("with_seed applies to PhaseAware plans only, not {other:?}"),
-        }
-    }
-
-    /// This plan with a different window cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the plan is [`SamplingPlan::Adaptive`].
-    pub fn with_max_windows(self, max_windows: usize) -> SamplingPlan {
-        match self {
-            SamplingPlan::Adaptive {
-                interval,
-                detail_len,
-                warmup_len,
-                target_rel_stderr,
-                ..
-            } => SamplingPlan::Adaptive {
-                interval,
-                detail_len,
-                warmup_len,
-                target_rel_stderr,
-                max_windows,
-            },
-            other => panic!("with_max_windows applies to Adaptive plans only, not {other:?}"),
-        }
-    }
-
-    /// Committed instructions between consecutive interval starts (also the
-    /// trace's checkpoint and BBV spacing).
+    /// Committed instructions between consecutive interval starts (the
+    /// `interval` field).
     pub fn interval(&self) -> u64 {
-        match *self {
-            SamplingPlan::Periodic { interval, .. }
-            | SamplingPlan::PhaseAware { interval, .. }
-            | SamplingPlan::Adaptive { interval, .. } => interval,
-        }
+        self.interval
     }
 
-    /// Committed instructions measured in detail per window.
+    /// Committed instructions measured in detail per window (the
+    /// `detail_len` field).
     pub fn detail_len(&self) -> u64 {
-        match *self {
-            SamplingPlan::Periodic { detail_len, .. }
-            | SamplingPlan::PhaseAware { detail_len, .. }
-            | SamplingPlan::Adaptive { detail_len, .. } => detail_len,
-        }
+        self.detail_len
     }
 
     /// Warm-up instructions run (and excluded) before each window's
-    /// measurement.
+    /// measurement (the `warmup_len` field).
     pub fn warmup_len(&self) -> u64 {
-        match *self {
-            SamplingPlan::Periodic { warmup_len, .. }
-            | SamplingPlan::PhaseAware { warmup_len, .. }
-            | SamplingPlan::Adaptive { warmup_len, .. } => warmup_len,
-        }
+        self.warmup_len
     }
 
     /// Validates the plan's internal consistency.
@@ -383,27 +235,23 @@ impl SamplingPlan {
     /// zero phases, or if an adaptive plan's target is outside `(0, 1)` or
     /// its window cap is zero.
     pub fn assert_valid(&self) {
-        assert!(self.interval() > 0, "sampling interval must be positive");
+        assert!(self.interval > 0, "sampling interval must be positive");
+        assert!(self.detail_len > 0, "sampling detail_len must be positive");
         assert!(
-            self.detail_len() > 0,
-            "sampling detail_len must be positive"
-        );
-        assert!(
-            self.warmup_len() + self.detail_len() <= self.interval(),
+            self.warmup_len + self.detail_len <= self.interval,
             "warmup_len + detail_len ({} + {}) must fit in the interval ({})",
-            self.warmup_len(),
-            self.detail_len(),
-            self.interval()
+            self.warmup_len,
+            self.detail_len,
+            self.interval
         );
-        match *self {
-            SamplingPlan::Periodic { .. } => {}
-            SamplingPlan::PhaseAware { max_phases, .. } => {
+        match self.placement {
+            Placement::Periodic => {}
+            Placement::Phases { max_phases, .. } => {
                 assert!(max_phases > 0, "max_phases must be positive");
             }
-            SamplingPlan::Adaptive {
+            Placement::Adaptive {
                 target_rel_stderr,
                 max_windows,
-                ..
             } => {
                 assert!(
                     target_rel_stderr.is_finite()
@@ -416,35 +264,24 @@ impl SamplingPlan {
         }
     }
 
-    /// A compact human-readable rendering. Periodic plans keep the exact
-    /// PR 4 wording (`interval=.. detail=.. warmup=..`) so sampled-run
-    /// report notes stay stable.
+    /// A compact human-readable rendering. Periodic plans render as the
+    /// bare window shape (`interval=.. detail=.. warmup=..`), the wording
+    /// sampled-run report notes have always used.
     pub fn describe(&self) -> String {
-        match *self {
-            SamplingPlan::Periodic {
-                interval,
-                detail_len,
-                warmup_len,
-            } => format!("interval={interval} detail={detail_len} warmup={warmup_len}"),
-            SamplingPlan::PhaseAware {
-                interval,
-                detail_len,
-                warmup_len,
-                max_phases,
-                seed,
-            } => format!(
-                "phase-aware(max_phases={max_phases} seed={seed:#x}) \
-                 interval={interval} detail={detail_len} warmup={warmup_len}"
-            ),
-            SamplingPlan::Adaptive {
-                interval,
-                detail_len,
-                warmup_len,
+        let window = format!(
+            "interval={} detail={} warmup={}",
+            self.interval, self.detail_len, self.warmup_len
+        );
+        match self.placement {
+            Placement::Periodic => window,
+            Placement::Phases { max_phases, seed } => {
+                format!("phase-aware(max_phases={max_phases} seed={seed:#x}) {window}")
+            }
+            Placement::Adaptive {
                 target_rel_stderr,
                 max_windows,
             } => format!(
-                "adaptive(target={}% max_windows={max_windows}) \
-                 interval={interval} detail={detail_len} warmup={warmup_len}",
+                "adaptive(target={}% max_windows={max_windows}) {window}",
                 target_rel_stderr * 100.0
             ),
         }
@@ -841,7 +678,7 @@ pub fn cluster_phases(bbvs: &[BbvSignature], max_phases: usize, seed: u64) -> Ph
     }
 }
 
-/// The order in which [`SamplingPlan::Adaptive`] adds periodic windows:
+/// The order in which [`Placement::Adaptive`] adds periodic windows:
 /// the van der Corput (bit-reversal) permutation of `0..n`. Each prefix of
 /// the order spreads near-uniformly over the whole budget, so an estimate
 /// from the first `m` windows samples early, middle and late program
@@ -903,32 +740,45 @@ mod tests {
 
     #[test]
     fn builder_adjusters_rewrite_the_right_fields() {
-        let plan = SamplingPlan::phase_aware(1_000)
-            .with_interval(2_000)
-            .with_window(100, 10)
-            .with_max_phases(3)
-            .with_seed(7);
+        let plan = SamplingPlan {
+            placement: Placement::Phases {
+                max_phases: 3,
+                seed: 7,
+            },
+            ..SamplingPlan::phase_aware(1_000)
+        }
+        .with_interval(2_000)
+        .with_window(100, 10);
         assert_eq!(
             plan,
-            SamplingPlan::PhaseAware {
+            SamplingPlan {
                 interval: 2_000,
                 detail_len: 100,
                 warmup_len: 10,
-                max_phases: 3,
-                seed: 7,
+                placement: Placement::Phases {
+                    max_phases: 3,
+                    seed: 7,
+                },
             }
         );
-        let adaptive = SamplingPlan::adaptive(0.05)
-            .with_interval(4_000)
-            .with_max_windows(5);
+        let adaptive = SamplingPlan {
+            placement: Placement::Adaptive {
+                target_rel_stderr: 0.05,
+                max_windows: 5,
+            },
+            ..SamplingPlan::adaptive(0.05)
+        }
+        .with_interval(4_000);
         assert_eq!(
             adaptive,
-            SamplingPlan::Adaptive {
+            SamplingPlan {
                 interval: 4_000,
                 detail_len: 100,
                 warmup_len: 33,
-                target_rel_stderr: 0.05,
-                max_windows: 5,
+                placement: Placement::Adaptive {
+                    target_rel_stderr: 0.05,
+                    max_windows: 5,
+                },
             }
         );
     }
@@ -936,12 +786,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "must fit in the interval")]
     fn overlapping_windows_are_rejected() {
-        SamplingPlan::Periodic {
-            interval: 100,
-            detail_len: 80,
-            warmup_len: 30,
-        }
-        .assert_valid();
+        SamplingPlan::periodic(100)
+            .with_window(80, 30)
+            .assert_valid();
     }
 
     #[test]
@@ -953,9 +800,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "max_phases must be positive")]
     fn zero_phase_plans_are_rejected() {
-        SamplingPlan::phase_aware(100)
-            .with_max_phases(0)
-            .assert_valid();
+        SamplingPlan {
+            placement: Placement::Phases {
+                max_phases: 0,
+                seed: DEFAULT_CLUSTER_SEED,
+            },
+            ..SamplingPlan::phase_aware(100)
+        }
+        .assert_valid();
     }
 
     #[test]

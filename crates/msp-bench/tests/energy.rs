@@ -83,11 +83,7 @@ fn sampled_energy_estimate_is_consistent_with_its_windows() {
             )
             .machines([MachineKind::cpr(), MachineKind::msp(16)])
             .predictor(PredictorKind::Gshare)
-            .sampling(SamplingPlan::Periodic {
-                interval: 1_500,
-                detail_len: 1_500,
-                warmup_len: 0,
-            }),
+            .sampling(SamplingPlan::periodic(1_500).with_window(1_500, 0)),
     );
     for cell in sampled.cells() {
         let estimate = cell

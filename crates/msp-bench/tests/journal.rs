@@ -168,11 +168,7 @@ fn journaled_rerun_replays_bit_identically_with_zero_work() {
 #[test]
 fn sampled_journaled_rerun_replays_bit_identically() {
     let dir = TempDir::new("sampled");
-    let spec = SamplingPlan::Periodic {
-        interval: 1_000,
-        detail_len: 300,
-        warmup_len: 100,
-    };
+    let spec = SamplingPlan::periodic(1_000).with_window(300, 100);
     let experiment = small_experiment().sampling(spec);
 
     let first = journal_lab(&dir, 4_000);

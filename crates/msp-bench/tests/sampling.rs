@@ -14,8 +14,8 @@
 //! test).
 
 use msp_bench::{
-    Experiment, Lab, LabConfig, ResultSet, SampledStats, SamplingPlan, DEFAULT_SAMPLE_INTERVAL,
-    DEFAULT_SAMPLE_TARGET_STDERR,
+    Experiment, Lab, LabConfig, Placement, ResultSet, SampledStats, SamplingPlan,
+    DEFAULT_SAMPLE_INTERVAL, DEFAULT_SAMPLE_TARGET_STDERR,
 };
 use msp_branch::PredictorKind;
 use msp_pipeline::{MachineKind, SimConfig, SimStats, Simulator, WarmState};
@@ -49,11 +49,7 @@ fn lab(instructions: u64, threads: usize) -> Lab {
 #[test]
 fn lab_sampled_cells_match_manual_resume_simulation() {
     let (interval, detail_len, warmup_len) = (3_000u64, 1_000u64, 500u64);
-    let spec = SamplingPlan::Periodic {
-        interval,
-        detail_len,
-        warmup_len,
-    };
+    let spec = SamplingPlan::periodic(interval).with_window(detail_len, warmup_len);
     let workload = by_name("gzip", Variant::Original).unwrap();
     for budget in [12_000u64, 13_000] {
         let lab = lab(budget, 4);
@@ -154,11 +150,7 @@ fn sampled_runs_are_thread_count_invariant() {
                 .map(|n| by_name(n, Variant::Original).unwrap()),
         )
         .machines([MachineKind::cpr(), MachineKind::msp(16)])
-        .sampling(SamplingPlan::Periodic {
-            interval: 2_000,
-            detail_len: 600,
-            warmup_len: 200,
-        });
+        .sampling(SamplingPlan::periodic(2_000).with_window(600, 200));
     let a = lab(BUDGET, 1).run(&spec);
     let b = lab(BUDGET, 16).run(&spec);
     let c = lab(BUDGET, 16).run(&spec);
@@ -193,11 +185,7 @@ fn warm_trajectories_live_only_while_their_windows_run() {
                 .map(|n| by_name(n, Variant::Original).unwrap()),
         )
         .machines([MachineKind::cpr(), MachineKind::msp(16)])
-        .sampling(SamplingPlan::Periodic {
-            interval: 2_000,
-            detail_len: 600,
-            warmup_len: 200,
-        });
+        .sampling(SamplingPlan::periodic(2_000).with_window(600, 200));
     let (one, two) = (lab(BUDGET, 1), lab(BUDGET, 2));
     let a = one.run(&spec);
     let b = two.run(&spec);
@@ -234,11 +222,7 @@ fn full_detail_sampling_covers_the_whole_budget() {
         &Experiment::new("full-detail")
             .workload(workload)
             .machines(reference_machines())
-            .sampling(SamplingPlan::Periodic {
-                interval: 1_000,
-                detail_len: 1_000,
-                warmup_len: 0,
-            }),
+            .sampling(SamplingPlan::periodic(1_000).with_window(1_000, 0)),
     );
     for (m, machine) in reference_machines().iter().enumerate() {
         let cell = results.get(0, m, 0, 0);
@@ -561,6 +545,67 @@ fn head_only_plans_warn_once_on_stderr() {
     assert!(!silent.contains("warning:"), "{silent}");
 }
 
+/// Runs `msp-lab` at 2,000 instructions with a 500-instruction interval,
+/// with `env` set and every other sampling variable unset.
+fn msp_lab(env: &[(&str, &str)], args: &[&str]) -> std::process::Output {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_msp-lab"));
+    for var in [
+        "MSP_BENCH_TRACE_DIR",
+        "MSP_BENCH_JOURNAL_DIR",
+        "MSP_BENCH_SAMPLE_PLAN",
+        "MSP_BENCH_SAMPLE_TARGET_STDERR",
+    ] {
+        cmd.env_remove(var);
+    }
+    cmd.env("MSP_BENCH_INSTRUCTIONS", "2000")
+        .env("MSP_BENCH_SAMPLE_INTERVAL", "500")
+        .envs(env.iter().copied())
+        .args(args)
+        .output()
+        .expect("run msp-lab")
+}
+
+/// The sampling flags and their environment variables reach one strict
+/// parser: a flag overrides only its own variable, so a target set in the
+/// environment survives `--sample-plan adaptive` and a plan set there
+/// survives `--sample-target-stderr`. A bad flag value fails before any
+/// simulation and names the flag; a bad variable fails even a command
+/// that samples nothing, and names the variable.
+#[test]
+fn sampling_flags_and_variables_reach_one_parser() {
+    let stdout = |out: std::process::Output| {
+        assert!(out.status.success(), "msp-lab failed: {out:?}");
+        String::from_utf8(out.stdout).expect("UTF-8 stdout")
+    };
+    let env_target = stdout(msp_lab(
+        &[
+            ("MSP_BENCH_SAMPLE_PLAN", "periodic"),
+            ("MSP_BENCH_SAMPLE_TARGET_STDERR", "0.05"),
+        ],
+        &["table1", "--sample", "--sample-plan", "adaptive"],
+    ));
+    assert!(env_target.contains("adaptive(target=5%"), "{env_target}");
+    let env_plan = stdout(msp_lab(
+        &[("MSP_BENCH_SAMPLE_PLAN", "adaptive")],
+        &["table1", "--sample", "--sample-target-stderr", "0.03"],
+    ));
+    assert!(env_plan.contains("target=3%"), "{env_plan}");
+
+    let bad_flag = msp_lab(&[], &["table1", "--sample", "--sample-plan", "foo"]);
+    assert!(!bad_flag.status.success());
+    assert!(bad_flag.stdout.is_empty(), "no report before the error");
+    let stderr = String::from_utf8(bad_flag.stderr).expect("UTF-8 stderr");
+    assert!(
+        stderr.contains("--sample-plan") && stderr.contains("\"foo\""),
+        "{stderr}"
+    );
+
+    let bad_var = msp_lab(&[("MSP_BENCH_SAMPLE_PLAN", "foo")], &["trace", "stat"]);
+    assert_eq!(bad_var.status.code(), Some(1));
+    let stderr = String::from_utf8(bad_var.stderr).expect("UTF-8 stderr");
+    assert!(stderr.contains("MSP_BENCH_SAMPLE_PLAN"), "{stderr}");
+}
+
 /// LRU eviction at a checkpoint-heavy budget: `Trace::footprint_bytes`
 /// accounts every checkpoint's full heap (pages + page-table), so a cache
 /// sized for one-and-a-half such traces must evict on the second insert
@@ -607,31 +652,19 @@ fn checkpoint_heavy_traces_respect_the_lru_byte_bound() {
 /// the default, garbage and zero are errors naming the variable.
 #[test]
 fn sample_interval_env_is_strict() {
+    let interval = |value: Option<&str>| {
+        LabConfig::from_vars(|var| {
+            let value = value.filter(|_| var == "MSP_BENCH_SAMPLE_INTERVAL");
+            value.map(Into::into)
+        })
+    };
     assert_eq!(
-        LabConfig::from_vars(None, None, None, None, None, None, None, None, None)
-            .unwrap()
-            .sample_interval,
+        interval(None).unwrap().sampling.interval(),
         DEFAULT_SAMPLE_INTERVAL
     );
-    assert_eq!(
-        LabConfig::from_vars(
-            None,
-            None,
-            None,
-            Some("25000"),
-            None,
-            None,
-            None,
-            None,
-            None
-        )
-        .unwrap()
-        .sample_interval,
-        25_000
-    );
+    assert_eq!(interval(Some("25000")).unwrap().sampling.interval(), 25_000);
     for bad in ["0", "", "abc", "-5", "1e6", "100_000"] {
-        let err = LabConfig::from_vars(None, None, None, Some(bad), None, None, None, None, None)
-            .unwrap_err();
+        let err = interval(Some(bad)).unwrap_err();
         assert_eq!(err.var, "MSP_BENCH_SAMPLE_INTERVAL", "value {bad:?}");
         assert!(err.to_string().contains("MSP_BENCH_SAMPLE_INTERVAL"));
     }
@@ -670,11 +703,7 @@ fn overlapping_sampling_windows_are_rejected_by_run() {
         &Experiment::new("bad")
             .workload(workload)
             .machine(MachineKind::Baseline)
-            .sampling(SamplingPlan::Periodic {
-                interval: 100,
-                detail_len: 90,
-                warmup_len: 20,
-            }),
+            .sampling(SamplingPlan::periodic(100).with_window(90, 20)),
     );
 }
 
@@ -761,11 +790,13 @@ fn adaptive_stops_at_max_windows_or_at_the_target() {
         &Experiment::new("adaptive-capped")
             .workload(workload.clone())
             .machine(MachineKind::msp(16))
-            .sampling(
-                SamplingPlan::adaptive(0.000_1)
-                    .with_interval(1_000)
-                    .with_max_windows(3),
-            ),
+            .sampling(SamplingPlan {
+                placement: Placement::Adaptive {
+                    target_rel_stderr: 0.000_1,
+                    max_windows: 3,
+                },
+                ..SamplingPlan::adaptive(0.000_1).with_interval(1_000)
+            }),
     );
     let sampled = capped.cells()[0].sampled.as_ref().unwrap();
     assert_eq!(sampled.intervals, 4, "head + max_windows windows");

@@ -197,11 +197,7 @@ fn streaming_runs_are_bit_identical_to_materialised_runs() {
     );
     assert_same_results(&expected, &actual, "streaming exact run");
 
-    let spec = SamplingPlan::Periodic {
-        interval: 1_000,
-        detail_len: 400,
-        warmup_len: 200,
-    };
+    let spec = SamplingPlan::periodic(1_000).with_window(400, 200);
     let sampled_spec = table1_experiment().sampling(spec);
     let expected_sampled = materialised.run(&sampled_spec);
     let actual_sampled = streaming.run(&sampled_spec);

@@ -106,6 +106,15 @@ impl TraceSource {
             TraceSource::Streaming(cursor) => cursor.checkpoint_at(index),
         }
     }
+
+    /// Whether [`TraceSource::checkpoint_at`] would find a checkpoint at
+    /// `index`, without decoding it.
+    pub fn has_checkpoint_at(&self, index: u64) -> bool {
+        match self {
+            TraceSource::Materialised(trace) => trace.checkpoint_at(index).is_some(),
+            TraceSource::Streaming(cursor) => cursor.reader().has_checkpoint_at(index),
+        }
+    }
 }
 
 impl From<Arc<Trace>> for TraceSource {

@@ -12,7 +12,7 @@ use crate::config::{MachineKind, SimConfig};
 use crate::oracle::{Oracle, TraceSource};
 use crate::stats::SimStats;
 use msp_branch::{build_predictor, Btb, ConfidenceEstimator, DirectionPredictor, ReturnStack};
-use msp_isa::{execute_step, ArchReg, ArchState, ExecutedInst, FuClass, Program, RegClass};
+use msp_isa::{ArchReg, ExecutedInst, FuClass, Program, RegClass};
 use msp_mem::{
     HierarchicalStoreQueue, LoadQueue, MemoryHierarchy, SimpleStoreQueue, StoreQueue,
     StoreQueueEntry,
@@ -151,7 +151,8 @@ struct Checkpoint {
 /// direction predictor, confidence estimator, BTB and return stack.
 ///
 /// Sampled simulation separates state into three tiers (see DESIGN.md):
-/// *architectural* state lives in the trace's [`ArchState`] checkpoints,
+/// *architectural* state lives in the trace's
+/// [`ArchState`](msp_isa::ArchState) checkpoints,
 /// *warm* state lives here and is rebuilt by functionally absorbing
 /// committed records ([`WarmState::absorb`]), and *occupancy* state (the
 /// in-flight window, queues, rename backend) always starts empty at a
@@ -254,79 +255,6 @@ impl WarmState {
             self.ras.push(rec.pc.wrapping_add(4));
         }
     }
-}
-
-/// Absorbs up to `warmup_len` committed instructions starting at trace
-/// index `start` into `warm`. Returns how many were absorbed (fewer than
-/// `warmup_len` only if the program ends inside the window).
-///
-/// Materialised records are replayed directly (no functional re-execution —
-/// warming must stay an order of magnitude cheaper than detailed
-/// simulation); past the materialised end the replay continues with
-/// [`execute_step`] from the trace's end state. In debug builds the
-/// `checkpoint` seed is additionally validated by functionally re-executing
-/// the materialised stretch and comparing records — the checkpoint
-/// invariant every warmed resume re-proves under test.
-fn warm_over_trace(
-    warm: &mut WarmState,
-    checkpoint: ArchState,
-    trace: &mut TraceSource,
-    program: &Program,
-    start: u64,
-    warmup_len: u64,
-) -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        // Checkpoint invariant: functional execution from the architectural
-        // checkpoint reproduces the trace's records.
-        let mut state = checkpoint.clone();
-        let mut index = start;
-        while index < warmup_len.saturating_add(start) {
-            let Some(&expected) = trace.get(program, index) else {
-                break;
-            };
-            let rec = execute_step(&mut state, program)
-                .expect("checkpointed execution reproduces the trace");
-            debug_assert_eq!(expected, rec, "warm-up record {index}");
-            index += 1;
-        }
-    }
-    let mut warmed = 0;
-    // Fast path: the materialised records already carry everything the warm
-    // structures consume (PC, outcome, effective address).
-    while warmed < warmup_len {
-        let Some(&rec) = trace.get(program, start + warmed) else {
-            break;
-        };
-        warm.absorb(&rec);
-        warmed += 1;
-        if rec.halted {
-            return warmed;
-        }
-    }
-    // Slow path: past the materialised end, continue functionally. The
-    // trace's end state is positioned exactly there (or the checkpoint is,
-    // when nothing was materialised past it).
-    if warmed < warmup_len && !trace.is_complete() {
-        let mut state = if start >= trace.len() {
-            checkpoint
-        } else {
-            trace.end_state_cloned()
-        };
-        debug_assert_eq!(state.retired(), start + warmed);
-        while warmed < warmup_len {
-            let rec = match execute_step(&mut state, program) {
-                Ok(rec) => rec,
-                Err(_) => break,
-            };
-            warm.absorb(&rec);
-            warmed += 1;
-            if rec.halted {
-                break;
-            }
-        }
-    }
-    warmed
 }
 
 /// Register-management backend state.
@@ -437,12 +365,16 @@ impl<'p> Simulator<'p> {
     ///
     /// The checkpoint seeds the full architectural state (register file,
     /// data memory, PC) at trace index `checkpoint_index`. From it, up to
-    /// `warmup_len` committed instructions are replayed **functionally** —
-    /// touching the cache hierarchy, the direction predictor, the
-    /// confidence estimator, the BTB and the return stack, exactly as
-    /// correct-path fetch would train them, but without cycle accounting —
-    /// and measurement starts at the first un-warmed instruction:
-    /// [`Simulator::measurement_start`] returns its trace index, and
+    /// `warmup_len` committed records are absorbed into a fresh
+    /// [`WarmState`] ([`WarmState::absorb`]: the cache hierarchy, the
+    /// direction predictor, the confidence estimator, the BTB and the return
+    /// stack train exactly as correct-path fetch would train them, without
+    /// cycle accounting). The records come from the simulator's own oracle,
+    /// which extends functionally past the trace's end. Measurement starts
+    /// at the first un-warmed instruction: the result equals
+    /// [`Simulator::resume_warmed`] at `checkpoint_index + warmup_len` with
+    /// those records absorbed. [`Simulator::measurement_start`] returns that
+    /// index (less if the program ends inside the warm-up), and
     /// [`Simulator::run`] counts committed instructions from there.
     ///
     /// Microarchitectural *occupancy* (in-flight window, issue queue,
@@ -463,22 +395,23 @@ impl<'p> Simulator<'p> {
         warmup_len: u64,
     ) -> Self {
         let mut trace = trace.into();
-        let checkpoint = Self::checkpoint_or_panic(program, &mut trace, checkpoint_index);
+        Self::checkpoint_or_panic(program, &mut trace, checkpoint_index, warmup_len);
+        let mut oracle = Oracle::with_trace(program, trace);
         if warmup_len == 0 {
             // No warm-up: a cold machine, bit-identical to `with_trace` when
             // the cursor is 0.
-            return Self::resume_at(program, config, trace, checkpoint_index);
+            return Self::resume_at(program, config, oracle, checkpoint_index);
         }
         let mut warm = WarmState::for_config(program, &config);
-        let warmed = warm_over_trace(
-            &mut warm,
-            checkpoint,
-            &mut trace,
-            program,
-            checkpoint_index,
-            warmup_len,
-        );
-        let mut sim = Self::resume_at(program, config, trace, checkpoint_index + warmed);
+        let mut start = checkpoint_index;
+        while start - checkpoint_index < warmup_len {
+            let Some(rec) = oracle.get(start) else {
+                break;
+            };
+            warm.absorb(rec);
+            start += 1;
+        }
+        let mut sim = Self::resume_at(program, config, oracle, start);
         sim.install_warm(warm);
         sim
     }
@@ -499,22 +432,25 @@ impl<'p> Simulator<'p> {
         warm: WarmState,
     ) -> Self {
         let mut trace = trace.into();
-        let _ = Self::checkpoint_or_panic(program, &mut trace, checkpoint_index);
-        let mut sim = Self::resume_at(program, config, trace, checkpoint_index);
+        Self::checkpoint_or_panic(program, &mut trace, checkpoint_index, 0);
+        let oracle = Oracle::with_trace(program, trace);
+        let mut sim = Self::resume_at(program, config, oracle, checkpoint_index);
         sim.install_warm(warm);
         sim
     }
 
-    /// Resolves the checkpoint at `checkpoint_index` or panics. In debug
-    /// builds the checkpoint invariant is re-proved on **every** resume
-    /// (`resume_from` and `resume_warmed` alike): functional execution from
-    /// the checkpoint must reproduce a bounded window of the trace's own
-    /// records bit-identically.
+    /// Panics unless the trace records a checkpoint at `checkpoint_index`.
+    /// In debug builds the checkpoint invariant is re-proved on **every**
+    /// resume (`resume_from` and `resume_warmed` alike): functional
+    /// execution from the checkpoint must reproduce the trace's own records
+    /// bit-identically over the longer of 512 records and the warm-up
+    /// window, as far as the trace reaches.
     fn checkpoint_or_panic(
         program: &Program,
         trace: &mut TraceSource,
         checkpoint_index: u64,
-    ) -> ArchState {
+        warmup_len: u64,
+    ) {
         let checkpoint = trace.checkpoint_at(checkpoint_index).unwrap_or_else(|| {
             panic!(
                 "resume_from requires an architectural checkpoint at index \
@@ -530,25 +466,24 @@ impl<'p> Simulator<'p> {
         #[cfg(debug_assertions)]
         {
             const VALIDATION_WINDOW: u64 = 512;
-            let mut state = checkpoint.clone();
-            for index in checkpoint_index..checkpoint_index + VALIDATION_WINDOW {
+            let end = checkpoint_index.saturating_add(warmup_len.max(VALIDATION_WINDOW));
+            let mut state = checkpoint;
+            for index in checkpoint_index..end {
                 let Some(&expected) = trace.get(program, index) else {
                     break;
                 };
-                let rec = execute_step(&mut state, program)
+                let rec = msp_isa::execute_step(&mut state, program)
                     .expect("checkpointed execution reproduces the trace");
                 debug_assert_eq!(expected, rec, "checkpoint-replay record {index}");
             }
         }
         #[cfg(not(debug_assertions))]
-        let _ = program;
-        checkpoint
+        let _ = (program, warmup_len);
     }
 
-    /// Positions a fresh simulator so measurement starts at trace index
-    /// `start`.
-    fn resume_at(program: &'p Program, config: SimConfig, trace: TraceSource, start: u64) -> Self {
-        let oracle = Oracle::with_trace(program, trace);
+    /// Positions a fresh simulator on `oracle` so measurement starts at
+    /// trace index `start`.
+    fn resume_at(program: &'p Program, config: SimConfig, oracle: Oracle<'p>, start: u64) -> Self {
         let mut sim = Simulator::with_oracle(program, config, oracle);
         sim.next_oracle_idx = start;
         sim.oracle_origin = start;
@@ -2325,6 +2260,56 @@ mod tests {
                 "{machine:?} measures the request (committed {})",
                 a.stats.committed
             );
+        }
+    }
+
+    /// A warmed `resume_from` is the cold warm state plus the absorbed
+    /// warm-up records, resumed where they end, on every machine kind. A
+    /// trace that ends inside the warm-up window (3,200 records) gives the
+    /// same machine: the records past its end come from the functional
+    /// extension.
+    #[test]
+    fn resume_from_equals_absorbing_its_warm_up_then_resuming_warmed() {
+        let w = by_name("vpr", Variant::Original).unwrap();
+        let trace = Arc::new(Trace::capture_with_checkpoints(w.program(), 6_000, 500));
+        let short = Arc::new(Trace::capture_with_checkpoints(w.program(), 3_200, 500));
+        assert_eq!(short.len(), 3_200);
+        for machine in [
+            MachineKind::Baseline,
+            MachineKind::cpr(),
+            MachineKind::msp(16),
+            MachineKind::IdealMsp,
+        ] {
+            let config = SimConfig::machine(machine, PredictorKind::Gshare);
+            let mut warm = WarmState::for_config(w.program(), &config);
+            for index in 3_000..3_500 {
+                warm.absorb(trace.get(index).unwrap());
+            }
+            let expected = Simulator::resume_warmed(
+                w.program(),
+                config.clone(),
+                Arc::clone(&trace),
+                3_500,
+                warm,
+            )
+            .run(1_000);
+            for source in [&trace, &short] {
+                let mut sim = Simulator::resume_from(
+                    w.program(),
+                    config.clone(),
+                    Arc::clone(source),
+                    3_000,
+                    500,
+                );
+                assert_eq!(sim.measurement_start(), 3_500, "{machine:?}");
+                let resumed = sim.run(1_000);
+                assert_eq!(
+                    resumed.stats,
+                    expected.stats,
+                    "{machine:?} over {} records",
+                    source.len()
+                );
+            }
         }
     }
 

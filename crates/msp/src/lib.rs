@@ -87,6 +87,15 @@
 //! assert!(estimate.mean_ipc > 0.0);
 //! ```
 //!
+//! A plan states its window shape once (`interval`, `detail_len`,
+//! `warmup_len`) next to a [`Placement`](bench::Placement); the
+//! constructors pick the placement, and a struct update such as
+//! `SamplingPlan { placement: Placement::Phases { max_phases: 4, seed: 1 }, ..plan }`
+//! sets its parameters. `msp-lab --sample` runs
+//! [`LabConfig::sampling`](bench::LabConfig::sampling), which the
+//! `MSP_BENCH_SAMPLE_*` variables and the `--sample-plan` /
+//! `--sample-target-stderr` flags build through one strict parser.
+//!
 //! The adaptive plan self-tunes the window count to an accuracy budget
 //! instead of a fixed schedule — ask for a 1% relative standard error with
 //! `SamplingPlan::adaptive(0.01).with_interval(10_000)`:
@@ -147,8 +156,8 @@ pub use msp_workloads as workloads;
 /// The most commonly used types, importable with `use msp::prelude::*`.
 pub mod prelude {
     pub use msp_bench::{
-        Experiment, Lab, LabConfig, OutputFormat, Report, ReportKind, ResultSet, SampledStats,
-        SamplingPlan,
+        Experiment, Lab, LabConfig, OutputFormat, Placement, Report, ReportKind, ResultSet,
+        SampledStats, SamplingPlan,
     };
     pub use msp_branch::{DirectionPredictor, PredictorKind};
     pub use msp_isa::{ArchReg, ArchState, Instruction, Program, Trace};
