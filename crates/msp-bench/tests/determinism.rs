@@ -310,3 +310,75 @@ fn parallel_map_is_order_stable_under_contention() {
         assert_eq!(*sq, i * i);
     }
 }
+
+/// Every kernel on every state-management scheme, pinned: one FNV-1a digest
+/// of the 18 kernels' canonical statistics per (machine, predictor) at 2,000
+/// instructions, all simulated through one `Lab`. The goldens pin only gzip,
+/// vpr and swim; this fence covers the other fifteen kernels and CPR with a
+/// 512-register file too. A mismatch prints that pair's 18 canonical
+/// strings.
+#[test]
+fn every_kernel_and_scheme_matches_its_pinned_digest() {
+    const PINNED: [(&str, &str, u64); 10] = [
+        ("Baseline", "gshare", 0x8a56_9280_a621_fefb),
+        ("Baseline", "TAGE", 0x403f_5a8f_41d1_1fcb),
+        ("CPR", "gshare", 0x21bd_4fae_9323_c036),
+        ("CPR", "TAGE", 0x09c2_aa76_a6b1_c6f8),
+        ("CPR-512", "gshare", 0xddd0_4210_426b_8f83),
+        ("CPR-512", "TAGE", 0x8184_9f50_4baa_dfb3),
+        ("16-SP", "gshare", 0xc614_bbc1_5032_f52b),
+        ("16-SP", "TAGE", 0x3494_9808_376f_6735),
+        ("ideal MSP", "gshare", 0xc414_fd4e_a4db_445c),
+        ("ideal MSP", "TAGE", 0xd663_8e34_f33b_1c0b),
+    ];
+    let workloads: Vec<Workload> = msp_workloads::spec_int_like(Variant::Original)
+        .into_iter()
+        .chain(msp_workloads::spec_fp_like(Variant::Original))
+        .collect();
+    assert_eq!(workloads.len(), 18);
+    let machines = [
+        MachineKind::Baseline,
+        MachineKind::cpr(),
+        MachineKind::Cpr {
+            regs_per_class: 512,
+        },
+        MachineKind::msp(16),
+        MachineKind::IdealMsp,
+    ];
+    let predictors = [PredictorKind::Gshare, PredictorKind::Tage];
+    let lab = Lab::new(LabConfig {
+        instructions: 2_000,
+        threads: 2,
+        ..LabConfig::default()
+    });
+    let results = lab.run(
+        &Experiment::new("scheme-pins")
+            .workloads(workloads.clone())
+            .machines(machines)
+            .predictors(predictors),
+    );
+    let mut failures = Vec::new();
+    for (m, machine) in machines.iter().enumerate() {
+        for (p, predictor) in predictors.iter().enumerate() {
+            let strings: Vec<String> = (0..workloads.len())
+                .map(|w| results.get(w, m, p, 0).result.stats.canonical_string())
+                .collect();
+            let digest = strings.iter().fold(msp_isa::wire::FNV_OFFSET, |hash, s| {
+                msp_isa::wire::fnv1a(hash, s.as_bytes())
+            });
+            let pair = (machine.label(), predictor.label());
+            let pinned = PINNED
+                .iter()
+                .find(|(m, p, _)| (*m, *p) == (pair.0.as_str(), pair.1))
+                .map(|&(_, _, digest)| digest);
+            if pinned != Some(digest) {
+                let mut report = format!("{} / {}: digest {digest:#018x}\n", pair.0, pair.1);
+                for (workload, s) in workloads.iter().zip(&strings) {
+                    report += &format!("--- {}\n{s}\n", workload.name());
+                }
+                failures.push(report);
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
