@@ -1,19 +1,22 @@
-//! The MSP machine under check: the **real** [`MspStateManager`] (SCT banks,
-//! RelIQ matrices, LCS unit, StateId counter) and the **real**
-//! [`SimpleStoreQueue`], driven through the exact dispatch / issue /
-//! writeback / commit / recovery discipline of the timing simulator, plus a
-//! checker-side value ledger and committed-path reference interpreter that
-//! serve as the correctness oracles.
+//! The MSP machine under check: the **real** [`MspScheme`], the state
+//! management component the timing simulator drives (the [`MspStateManager`]
+//! with its SCT banks, RelIQ matrices, LCS unit and StateId counter, plus the
+//! use-bit and anchor rule, recovery, the commit clock and the drain
+//! boundary), over the **real** [`SimpleStoreQueue`].
 //!
-//! Nothing here re-implements MSP mechanisms: every rename, use bit, commit
-//! clock and recovery goes through the production structures, so a defect in
-//! them is a defect the explorer can reach.
+//! This module keeps only what the simulator does not have: the event
+//! alphabet, which lets dispatch, issue, completion, mispredicts and commit
+//! clocks interleave in every order, a value ledger, and a committed-path
+//! reference interpreter that serve as the correctness oracles. Every rename,
+//! use bit, squash, recovery, commit clock and drain goes through the
+//! simulator's own code, so a defect in it is a defect the explorer can
+//! reach.
 
 use crate::explore::Model;
 use crate::fingerprint::WordHasher;
 use msp_isa::ArchReg;
 use msp_mem::{SimpleStoreQueue, StoreQueue, StoreQueueEntry};
-use msp_state::{MspConfig, MspStateManager, PhysReg, RenameRequest, StateId};
+use msp_state::{MspConfig, MspScheme, MspStateManager, MspTag, PhysReg, StateId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -191,12 +194,10 @@ enum Status {
 struct Flight {
     pc: usize,
     seq: u64,
-    state: StateId,
-    dest: Option<PhysReg>,
+    /// What the MSP component keeps for the instruction.
+    tag: MspTag,
     /// Source registers in program order, `None`-padded.
     srcs: [Option<PhysReg>; 2],
-    /// The state-anchoring RelIQ row of a non-allocating instruction.
-    anchor: Option<PhysReg>,
     iq_slot: Option<usize>,
     status: Status,
     /// ALU: produced value; store: stored value; branch: condition value.
@@ -293,12 +294,12 @@ impl Ledger {
     }
 }
 
-/// The checked machine: real MSP structures plus checker-side mirrors.
+/// The checked machine: the real MSP component plus checker-side mirrors.
 #[derive(Clone)]
 pub struct MspMachine {
     /// Geometry and program, shared by every explored state.
     config: Arc<CheckConfig>,
-    manager: MspStateManager,
+    scheme: MspScheme,
     stores: SimpleStoreQueue,
     insts: Vec<Flight>,
     next_pc: usize,
@@ -346,7 +347,7 @@ impl MspMachine {
         );
         let mut msp_config = MspConfig::tiny(config.banks, config.regs_per_bank, config.iq_size);
         msp_config.lcs_delay = config.lcs_delay;
-        let manager = MspStateManager::new(msp_config);
+        let scheme = MspScheme::new(msp_config, false);
         let mut ledger = Ledger::new(config.banks, config.regs_per_bank);
         for bank in 0..config.banks {
             ledger.insert(PhysReg::new(bank, 0), initial_value(bank));
@@ -355,7 +356,7 @@ impl MspMachine {
         MspMachine {
             iq_free: low_bits(config.iq_size),
             config: Arc::new(config),
-            manager,
+            scheme,
             stores,
             insts: Vec::new(),
             next_pc: 0,
@@ -369,7 +370,7 @@ impl MspMachine {
 
     /// Read access to the wrapped manager (diagnostics in tests).
     pub fn manager(&self) -> &MspStateManager {
-        &self.manager
+        self.scheme.manager()
     }
 
     fn flight(&self, seq: u64) -> Option<&Flight> {
@@ -409,15 +410,15 @@ impl MspMachine {
     /// The invariant oracle suite run after every event.
     fn check_invariants(&self) -> Result<(), String> {
         // (b) structural occupancy of the real structures.
-        self.manager.verify_occupancy()?;
+        self.manager().verify_occupancy()?;
 
         // (b) a freed IQ slot must have no residual RelIQ bits anywhere —
         // this is exactly what a skipped squash-path `clear_iq_slot` leaks.
         for slot in bits(self.iq_free) {
-            if !self.manager.slot_uses(slot).is_empty() {
+            if !self.manager().slot_uses(slot).is_empty() {
                 return Err(format!(
                     "freed IQ slot {slot} still holds RelIQ use bits {:?}",
-                    self.manager.slot_uses(slot)
+                    self.manager().slot_uses(slot)
                 ));
             }
         }
@@ -436,20 +437,20 @@ impl MspMachine {
         let youngest = self
             .insts
             .iter()
-            .map(|i| i.state)
+            .map(|i| i.tag.state)
             .max()
             .unwrap_or(StateId::ZERO);
-        if self.manager.current_state() != youngest {
+        if self.manager().current_state() != youngest {
             return Err(format!(
                 "StateId counter {} disagrees with youngest surviving state {youngest}",
-                self.manager.current_state()
+                self.manager().current_state()
             ));
         }
-        if self.manager.committed_floor() > self.manager.current_state().next() {
+        if self.manager().committed_floor() > self.manager().current_state().next() {
             return Err(format!(
                 "committed floor {} ran past the current state {}",
-                self.manager.committed_floor(),
-                self.manager.current_state()
+                self.manager().committed_floor(),
+                self.manager().current_state()
             ));
         }
 
@@ -467,7 +468,9 @@ impl MspMachine {
             Ok(())
         })?;
         for (bank, &reference) in regs.iter().enumerate().take(self.config.banks) {
-            let mapping = self.manager.source_mapping(ArchReg::from_flat_index(bank));
+            let mapping = self
+                .manager()
+                .source_mapping(ArchReg::from_flat_index(bank));
             match self.ledger.get(mapping.phys) {
                 None => {
                     return Err(format!(
@@ -489,8 +492,8 @@ impl MspMachine {
         // register released while still ledgered (or live while unledgered)
         // is a lost or leaked renaming.
         let mut live = 0u64;
-        for bank in 0..self.manager.num_banks() {
-            for (slot, _) in self.manager.sct(bank).iter_live() {
+        for bank in 0..self.manager().num_banks() {
+            for (slot, _) in self.manager().sct(bank).iter_live() {
                 live |= 1 << self.ledger.index(PhysReg::new(bank, slot));
             }
         }
@@ -535,7 +538,11 @@ impl MspMachine {
         }
         match op {
             // A full destination bank is a rename stall.
-            Op::Alu { dest, .. } => self.manager.free_registers(ArchReg::from_flat_index(dest)) > 0,
+            Op::Alu { dest, .. } => {
+                self.manager()
+                    .free_registers(ArchReg::from_flat_index(dest))
+                    > 0
+            }
             Op::Store { .. } => !self.stores.is_full(),
             Op::Branch { .. } => true,
         }
@@ -547,49 +554,30 @@ impl MspMachine {
         let slot = bits(self.iq_free)
             .next()
             .ok_or("dispatch with no free IQ slot")?;
-        let dest_arch = op.dest().map(ArchReg::from_flat_index);
-        let mut src_arch = [ArchReg::from_flat_index(0); 2];
-        let mut arity = 0;
-        for &src in op.sources().iter().flatten() {
-            src_arch[arity] = ArchReg::from_flat_index(src);
-            arity += 1;
-        }
-        let renamed = self
-            .manager
-            .rename(&RenameRequest::new(dest_arch, &src_arch[..arity]))
+        let sources = op.sources().into_iter().flatten();
+        let (renamed, tag) = self
+            .scheme
+            .rename(
+                op.dest().map(ArchReg::from_flat_index),
+                sources.map(ArchReg::from_flat_index),
+                slot,
+            )
             .map_err(|e| format!("rename stalled despite enabledness check: {e}"))?;
         let srcs = renamed.sources.map(|m| m.map(|m| m.phys));
-        // Exactly the simulator's dispatch discipline: a use bit per source,
-        // plus the state-anchoring bit for non-allocating instructions. A
-        // source that aliases the anchor is covered by the anchor's bit,
-        // which survives until completion (the later release point).
-        let dest = renamed.dest.map(|d| d.phys);
-        let anchor = if dest.is_none() {
-            Some(renamed.anchor)
-        } else {
-            None
-        };
-        for &src in srcs.iter().flatten() {
-            if anchor == Some(src) {
-                continue;
-            }
-            self.manager.note_use(src, slot);
-        }
-        if let Some(anchor) = anchor {
-            self.manager.note_use(anchor, slot);
-        }
         let mut src_values = [0; 2];
+        let mut arity = 0;
         for (value, &src) in src_values.iter_mut().zip(srcs.iter().flatten()) {
             *value = self
                 .ledger
                 .get(src)
                 .ok_or_else(|| format!("source {src} unledgered"))?;
+            arity += 1;
         }
         let src_values = &src_values[..arity];
         let value = match op {
             Op::Alu { .. } => {
                 let v = mix(pc, src_values.iter().copied());
-                self.ledger.insert(dest.expect("ALU allocates"), v);
+                self.ledger.insert(tag.dest.expect("ALU allocates"), v);
                 v
             }
             Op::Store { addr, .. } => {
@@ -611,10 +599,8 @@ impl MspMachine {
         self.insts.push(Flight {
             pc,
             seq: self.next_seq,
-            state: renamed.state_id,
-            dest,
+            tag,
             srcs,
-            anchor,
             iq_slot: Some(slot),
             status: Status::Waiting,
             value,
@@ -628,37 +614,20 @@ impl MspMachine {
         let idx = self
             .flight_mut(seq)
             .ok_or_else(|| format!("issue of unknown seq {seq}"))?;
-        let (srcs, anchor, slot, allocating) = {
-            let f = &self.insts[idx];
-            if f.status != Status::Waiting {
-                return Err(format!("issue of non-waiting seq {seq}"));
-            }
-            (
-                f.srcs,
-                f.anchor,
-                f.iq_slot.ok_or("waiting inst without slot")?,
-                f.dest.is_some(),
-            )
-        };
-        for &src in srcs.iter().flatten() {
-            if !self.manager.is_ready(src) {
+        let flight = &mut self.insts[idx];
+        if flight.status != Status::Waiting {
+            return Err(format!("issue of non-waiting seq {seq}"));
+        }
+        for &src in flight.srcs.iter().flatten() {
+            if !self.scheme.manager().is_ready(src) {
                 return Err(format!("seq {seq} issued with unready source {src}"));
             }
-            // An anchor-aliased source has no bit of its own: the anchor's
-            // bit is cleared at completion.
-            if anchor == Some(src) {
-                continue;
-            }
-            self.manager.clear_use(src, slot);
         }
-        // The simulator frees the IQ slot at issue for allocating
-        // instructions (no anchor bit remains); non-allocating ones keep the
-        // slot until completion clears the anchor.
-        if allocating {
+        if !self.scheme.issue(&mut flight.tag) {
+            let slot = flight.iq_slot.take().ok_or("waiting inst without slot")?;
             self.iq_free |= 1 << slot;
-            self.insts[idx].iq_slot = None;
         }
-        self.insts[idx].status = Status::Executing;
+        flight.status = Status::Executing;
         Ok(())
     }
 
@@ -666,22 +635,15 @@ impl MspMachine {
         let idx = self
             .flight_mut(seq)
             .ok_or_else(|| format!("complete of unknown seq {seq}"))?;
-        if self.insts[idx].status != Status::Executing {
+        let flight = &mut self.insts[idx];
+        if flight.status != Status::Executing {
             return Err(format!("complete of non-executing seq {seq}"));
         }
-        match (self.insts[idx].dest, self.insts[idx].anchor) {
-            (Some(dest), _) => self.manager.mark_ready(dest),
-            (None, Some(anchor)) => {
-                let slot = self.insts[idx]
-                    .iq_slot
-                    .ok_or("anchored inst without slot")?;
-                self.manager.clear_use(anchor, slot);
-                self.iq_free |= 1 << slot;
-                self.insts[idx].iq_slot = None;
-            }
-            (None, None) => return Err("instruction with neither dest nor anchor".into()),
+        self.scheme.complete(&flight.tag);
+        if let Some(slot) = flight.iq_slot.take() {
+            self.iq_free |= 1 << slot;
         }
-        self.insts[idx].status = Status::Done;
+        flight.status = Status::Done;
         Ok(())
     }
 
@@ -694,31 +656,19 @@ impl MspMachine {
             .ok_or_else(|| format!("mispredict of unknown seq {seq}"))?;
         let branch = self.insts[idx];
         self.mispredicted |= 1 << branch.pc;
-
-        // 1. Squash younger instructions (youngest first), clearing the
-        //    RelIQ column of every slot still held — the simulator's squash
-        //    loop in `recover_from`.
+        // Squash the younger instructions, youngest first, then recover.
         while self.insts.len() > idx + 1 {
             let squashed = self.insts.pop().expect("length checked");
             if let Some(slot) = squashed.iq_slot {
-                self.manager.clear_iq_slot(slot);
+                self.scheme.squash(slot);
                 self.iq_free |= 1 << slot;
             }
         }
-        // 2. Squash younger stores.
-        #[allow(unused_mut)]
-        let mut squash_stores = true;
-        #[cfg(msp_check_mutation)]
-        if msp_state::mutation::is_active("skip-storequeue-squash") {
-            squash_stores = false;
-        }
-        if squash_stores {
-            self.stores.squash_younger(branch.seq);
-        }
-        // 3. Precise state recovery to the branch's state.
         let mut released = Vec::new();
-        self.manager
-            .recover(branch.state, |phys| released.push(phys));
+        self.scheme
+            .recover(&branch.tag, branch.seq, &mut self.stores, |phys| {
+                released.push(phys)
+            });
         for phys in released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("recovery released unledgered register {phys}"));
@@ -726,32 +676,29 @@ impl MspMachine {
         }
         // The recovery audit, run explicitly so it also guards release
         // builds of the checker.
-        self.manager.verify_recovery(branch.state)?;
-        // 4. Redirect the front end: re-fetch the correct path.
+        self.scheme.manager().verify_recovery(branch.tag.state)?;
+        // Redirect the front end: re-fetch the correct path.
         self.next_seq = branch.seq + 1;
         self.next_pc = branch.pc + 1;
         Ok(())
     }
 
     fn apply_commit(&mut self) -> Result<(), String> {
+        // Committed instructions stay in `insts` and retire again at every
+        // clock: their states stay below the LCS.
         let mut released = Vec::new();
-        let lcs = self.manager.clock_commit(|phys| released.push(phys));
+        let oldest_first = self
+            .insts
+            .iter()
+            .map(|f| (f.seq, f.tag.state, f.status == Status::Done));
+        let (_, boundary) = self
+            .scheme
+            .commit(oldest_first, self.next_seq, |phys| released.push(phys));
         for phys in released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("commit released unledgered register {phys}"));
             }
         }
-        // Retirement-gated drain, exactly like `commit_msp`: stores older
-        // than the first instruction that has not yet retired (done with a
-        // committed state) may write to memory. Gating by the raw LCS alone
-        // is the hazard the checker originally caught: with a pipelined LCS
-        // a store can join the current state after a younger minimum was
-        // computed, and would drain before executing.
-        let boundary = self
-            .insts
-            .iter()
-            .find(|f| !(f.status == Status::Done && f.state < lcs))
-            .map_or(self.next_seq, |f| f.seq);
         let mut drained = Vec::new();
         self.stores
             .drain_committed_with(boundary, &mut |e| drained.push(e));
@@ -763,7 +710,7 @@ impl MspMachine {
                 return Err(format!(
                     "store seq {} drained to memory before it executed — its anchor \
                      bit failed to hold state {} below the LCS",
-                    entry.seq, flight.state
+                    entry.seq, flight.tag.state
                 ));
             }
             if self.drained.last().is_some_and(|&last| last >= entry.seq) {
@@ -795,7 +742,7 @@ impl Model for MspMachine {
                         .srcs
                         .iter()
                         .flatten()
-                        .all(|&s| self.manager.is_ready(s))
+                        .all(|&s| self.manager().is_ready(s))
                     {
                         events.push(MspEvent::Issue { seq: flight.seq });
                     }
@@ -830,15 +777,23 @@ impl Model for MspMachine {
 
     fn fingerprint(&self) -> u64 {
         let mut hasher = WordHasher::default();
-        self.manager.hash_canonical(&mut hasher);
+        self.manager().hash_canonical(&mut hasher);
         self.next_pc.hash(&mut hasher);
         self.next_seq.hash(&mut hasher);
         self.iq_free.hash(&mut hasher);
         self.insts.len().hash(&mut hasher);
         for f in &self.insts {
-            (f.pc, f.seq, f.state.as_u64(), f.status, f.iq_slot, f.value).hash(&mut hasher);
-            f.dest.hash(&mut hasher);
-            f.anchor.hash(&mut hasher);
+            (
+                f.pc,
+                f.seq,
+                f.tag.state.as_u64(),
+                f.status,
+                f.iq_slot,
+                f.value,
+            )
+                .hash(&mut hasher);
+            f.tag.dest.hash(&mut hasher);
+            f.tag.anchor.hash(&mut hasher);
         }
         for e in self.stores.iter() {
             (e.seq, e.tag, e.addr, e.value).hash(&mut hasher);
@@ -863,8 +818,8 @@ impl Model for MspMachine {
         // (ready) architectural mapping with a clean RelIQ row, the LCS must
         // have converged past the youngest state with an empty propagation
         // pipeline, and the store queue must have fully drained.
-        for bank in 0..self.manager.num_banks() {
-            let sct = self.manager.sct(bank);
+        for bank in 0..self.manager().num_banks() {
+            let sct = self.manager().sct(bank);
             if sct.live_entries() != 1 {
                 return Err(format!(
                     "bank {bank} quiesced with {} live registers (leaked {})",
@@ -876,7 +831,7 @@ impl Model for MspMachine {
             if !entry.is_ready() {
                 return Err(format!("bank {bank} quiesced with an unproduced mapping"));
             }
-            let reliq = self.manager.reliq(bank);
+            let reliq = self.manager().reliq(bank);
             for row in 0..sct.capacity() {
                 if reliq.any_use(row) {
                     return Err(format!(
@@ -886,28 +841,28 @@ impl Model for MspMachine {
                 }
             }
         }
-        let settled = self.manager.current_state().next();
-        if self.manager.lcs() != settled {
+        let settled = self.manager().current_state().next();
+        if self.manager().lcs() != settled {
             return Err(format!(
                 "LCS quiesced at {} instead of {settled} — commit is stuck",
-                self.manager.lcs()
+                self.manager().lcs()
             ));
         }
         // Note: `lcs_pending()` is legitimately non-zero here — a pipelined
         // LCS holds `delay` settled values in flight at quiescence. The
         // pending==0 invariant only holds right after a recovery flush,
         // where `verify_recovery` asserts it.
-        if self.manager.lcs_pending() > self.config.lcs_delay {
+        if self.manager().lcs_pending() > self.config.lcs_delay {
             return Err(format!(
                 "LCS pipeline quiesced with {} in-flight minimums (delay {})",
-                self.manager.lcs_pending(),
+                self.manager().lcs_pending(),
                 self.config.lcs_delay
             ));
         }
-        if self.manager.committed_floor() != settled {
+        if self.manager().committed_floor() != settled {
             return Err(format!(
                 "committed floor quiesced at {} instead of {settled}",
-                self.manager.committed_floor()
+                self.manager().committed_floor()
             ));
         }
         if !self.stores.is_empty() {
@@ -940,12 +895,12 @@ impl Model for MspMachine {
                 .iter()
                 .filter(|f| f.status != Status::Done)
                 .count(),
-            self.manager.current_state(),
-            self.manager.lcs(),
-            self.manager.committed_floor(),
+            self.manager().current_state(),
+            self.manager().lcs(),
+            self.manager().committed_floor(),
             self.stores.len(),
-            (0..self.manager.num_banks())
-                .map(|b| self.manager.sct(b).live_entries().to_string())
+            (0..self.manager().num_banks())
+                .map(|b| self.manager().sct(b).live_entries().to_string())
                 .collect::<Vec<_>>()
                 .join(","),
         )

@@ -36,6 +36,7 @@
 
 mod config;
 mod oracle;
+mod scheme;
 mod simulator;
 mod stats;
 

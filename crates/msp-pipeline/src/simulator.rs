@@ -1,23 +1,27 @@
 //! The cycle-level out-of-order timing simulator.
 //!
 //! One [`Simulator`] models one machine (Baseline, CPR or MSP) running one
-//! program. The per-cycle loop processes, in order: writeback (and branch
-//! recovery), commit/retire, issue, rename/dispatch and fetch. Correct-path
-//! instructions carry their functional results from the [`Oracle`];
-//! wrong-path instructions are fetched from the static program image beyond
-//! the mispredicted branch and executed with synthetic operands, so the
-//! wrong-path work of Fig. 9 is measured rather than estimated.
+//! program. Its state management is one [`Scheme`] component, picked once
+//! from the configuration; the core around it is generic over the scheme,
+//! so its stages name no machine. The per-cycle loop processes, in order:
+//! writeback (and branch recovery), commit/retire, issue, rename/dispatch
+//! and fetch. Correct-path instructions carry their functional results from
+//! the [`Oracle`]; wrong-path instructions are fetched from the static
+//! program image beyond the mispredicted branch and executed with synthetic
+//! operands, so the wrong-path work of Fig. 9 is measured rather than
+//! estimated.
 
 use crate::config::{MachineKind, SimConfig};
 use crate::oracle::{Oracle, TraceSource};
+use crate::scheme::{Cpr, Rob, Scheme};
 use crate::stats::SimStats;
 use msp_branch::{build_predictor, Btb, ConfidenceEstimator, DirectionPredictor, ReturnStack};
-use msp_isa::{ArchReg, ExecutedInst, FuClass, Program, RegClass};
+use msp_isa::{ArchReg, ExecutedInst, FuClass, Program};
 use msp_mem::{
     HierarchicalStoreQueue, LoadQueue, MemoryHierarchy, SimpleStoreQueue, StoreQueue,
     StoreQueueEntry,
 };
-use msp_state::{MspStateManager, PhysReg, PortArbiter, RenameRequest, StateId};
+use msp_state::MspScheme;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -46,7 +50,7 @@ impl SimResult {
 
 /// Execution status of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
+pub(crate) enum Status {
     /// Dispatched, waiting in the issue queue.
     Waiting,
     /// Issued to a functional unit, executing.
@@ -55,19 +59,19 @@ enum Status {
     Done,
 }
 
-/// One in-flight dynamic instruction.
+/// One in-flight dynamic instruction, with the state its scheme keeps for
+/// it in `tag`.
 ///
-/// The struct is fully inline (no heap indirection): the at-most-two MSP
-/// source use bits live in a fixed array, so pushing, squashing and
-/// retiring window entries never allocates.
+/// The struct is fully inline (no heap indirection), so pushing, squashing
+/// and retiring window entries never allocates.
 #[derive(Debug, Clone)]
-struct InFlight {
-    seq: u64,
-    oracle_idx: Option<u64>,
+pub(crate) struct InFlight<T> {
+    pub(crate) seq: u64,
+    pub(crate) oracle_idx: Option<u64>,
     rec: ExecutedInst,
-    status: Status,
+    pub(crate) status: Status,
     complete_cycle: u64,
-    deps: [Option<u64>; 2],
+    pub(crate) deps: [Option<u64>; 2],
     /// Sticky operand-readiness flag: once every producer in `deps` has
     /// completed this can never revert (producers are older than their
     /// consumers, so any squash that removed a producer removed this
@@ -84,66 +88,41 @@ struct InFlight {
     /// simply stay in the waiting list and poll, as all of them used to.
     waiters: [u64; MAX_WAITERS],
     waiter_count: u8,
-    iq_slot: Option<usize>,
-    dest: Option<ArchReg>,
+    pub(crate) iq_slot: Option<usize>,
+    pub(crate) dest: Option<ArchReg>,
     /// Misprediction discovered at fetch time, resolved at completion.
     mispredicted: bool,
-    // MSP bookkeeping.
-    msp_state: Option<StateId>,
-    msp_dest: Option<PhysReg>,
-    msp_source_bits: [Option<(PhysReg, usize)>; 2],
-    msp_anchor_bit: Option<(PhysReg, usize)>,
-    // CPR aggressive-release bookkeeping.
-    superseded_by: Option<u64>,
-    pending_consumers: u32,
-    reg_released: bool,
+    pub(crate) tag: T,
 }
 
-impl InFlight {
-    /// The distinct register banks this MSP instruction reads, one per
-    /// source operand. Two operands in one bank are necessarily the same
-    /// physical register and read it once, so the bank's single read port
-    /// suffices: the rule both read-port arbitration and the register-file
-    /// read count follow.
-    fn msp_read_banks(&self) -> [Option<usize>; 2] {
-        let first = self.msp_source_bits[0].map(|(phys, _)| phys.bank());
-        let second = self.msp_source_bits[1]
-            .map(|(phys, _)| phys.bank())
-            .filter(|bank| Some(*bank) != first);
-        [first, second]
+/// The in-flight instructions: a *contiguous* run of sequence numbers
+/// (recoveries rewind `next_seq` to the squash point), so locating an
+/// instruction is a constant-time offset from the head.
+pub(crate) type Window<T> = VecDeque<InFlight<T>>;
+
+/// Locates an in-flight instruction in O(1).
+pub(crate) fn window_index<T>(window: &Window<T>, seq: u64) -> Option<usize> {
+    let head = window.front()?.seq;
+    let idx = seq.checked_sub(head)? as usize;
+    if idx < window.len() {
+        debug_assert_eq!(window[idx].seq, seq, "window must stay seq-contiguous");
+        Some(idx)
+    } else {
+        None
     }
 }
 
 /// Inline per-producer wakeup-list capacity (see `InFlight::waiters`).
 const MAX_WAITERS: usize = 4;
 
-/// Structural in-flight bound for the ideal MSP's otherwise unbounded
-/// window. The bound is a runaway breaker, not a modelled resource: an LCS
-/// pinned by a busy architectural bank (a loop-invariant register with
-/// sleeping readers always in flight) lets dispatch race arbitrarily far
-/// ahead of commit, which can become self-sustaining — every dispatched
-/// iteration adds new sleeping readers that keep the bank busy. Exact runs
-/// peak well below this value (≈6.8k in-flight on the reference kernels at
-/// 200k instructions), so the bound only engages to convert a runaway into
-/// a bursty drain-and-refill.
-const IDEAL_WINDOW_CAP: usize = 16_384;
-
 /// An instruction waiting in the front end between fetch and rename.
 #[derive(Debug, Clone)]
-struct Fetched {
-    oracle_idx: Option<u64>,
-    rec: ExecutedInst,
+pub(crate) struct Fetched {
+    pub(crate) oracle_idx: Option<u64>,
+    pub(crate) rec: ExecutedInst,
     ready_cycle: u64,
     mispredicted: bool,
-    low_confidence: bool,
-}
-
-/// A CPR checkpoint: a rollback point before the instruction at
-/// `oracle_idx`, created when the instruction with `start_seq` dispatched.
-#[derive(Debug, Clone, Copy)]
-struct Checkpoint {
-    oracle_idx: u64,
-    start_seq: u64,
+    pub(crate) low_confidence: bool,
 }
 
 /// The microarchitectural **warm** state of a machine: the structures whose
@@ -155,11 +134,11 @@ struct Checkpoint {
 /// [`ArchState`](msp_isa::ArchState) checkpoints,
 /// *warm* state lives here and is rebuilt by functionally absorbing
 /// committed records ([`WarmState::absorb`]), and *occupancy* state (the
-/// in-flight window, queues, rename backend) always starts empty at a
-/// resume. A `WarmState` can be absorbed forward along a trace and cloned
-/// at interval boundaries, which is how `Lab::run` gives every sampled
-/// interval the warm history of the entire prefix at a functional — not
-/// detailed — price.
+/// in-flight window, queues, state-management scheme) always starts empty
+/// at a resume. A `WarmState` can be absorbed forward along a trace and
+/// cloned at interval boundaries, which is how `Lab::run` gives every
+/// sampled interval the warm history of the entire prefix at a functional —
+/// not detailed — price.
 pub struct WarmState {
     memory: MemoryHierarchy,
     predictor: Box<dyn DirectionPredictor>,
@@ -195,6 +174,18 @@ impl std::fmt::Debug for WarmState {
 }
 
 impl WarmState {
+    /// Fresh, untrained warm structures for `config`.
+    fn cold(config: &SimConfig) -> WarmState {
+        WarmState {
+            memory: MemoryHierarchy::new(config.memory),
+            predictor: build_predictor(config.predictor),
+            confidence: ConfidenceEstimator::paper(),
+            btb: Btb::default_config(),
+            ras: ReturnStack::default(),
+            last_fetch_line: u64::MAX,
+        }
+    }
+
     /// Fresh warm structures for `config`, pre-warmed with the program's
     /// **static** working set: the text segment (I-side) and the per-PC
     /// wrong-path pseudo addresses of [`Simulator`]'s wrong-path model
@@ -202,20 +193,13 @@ impl WarmState {
     /// pre-warm, a resumed interval would take a memory-latency miss on
     /// every early misprediction and wedge its window on wrong-path loads.
     pub fn for_config(program: &Program, config: &SimConfig) -> WarmState {
-        let mut warm = WarmState {
-            memory: MemoryHierarchy::new(config.memory),
-            predictor: build_predictor(config.predictor),
-            confidence: ConfidenceEstimator::paper(),
-            btb: Btb::default_config(),
-            ras: ReturnStack::default(),
-            last_fetch_line: u64::MAX,
-        };
+        let mut warm = WarmState::cold(config);
         for (pc, inst) in program.iter() {
             warm.memory.fetch_latency(pc);
             if inst.is_load() {
-                warm.memory.load_latency(Simulator::wrong_path_address(pc));
+                warm.memory.load_latency(wrong_path_address(pc));
             } else if inst.is_store() {
-                warm.memory.store_commit(Simulator::wrong_path_address(pc));
+                warm.memory.store_commit(wrong_path_address(pc));
             }
         }
         warm
@@ -257,82 +241,26 @@ impl WarmState {
     }
 }
 
-/// Register-management backend state.
-enum Backend {
-    /// ROB baseline / CPR: counted register pools per class.
-    Counted { int_free: usize, fp_free: usize },
-    /// MSP: the full state manager plus the register-file port arbiter.
-    Msp {
-        manager: Box<MspStateManager>,
-        arbiter: PortArbiter,
-    },
+/// Deterministic pseudo effective address for wrong-path memory
+/// instructions: stays in the data region, 8-byte aligned.
+fn wrong_path_address(pc: u64) -> u64 {
+    0x10_0000 + (pc.wrapping_mul(0x9e37_79b9_7f4a_7c15) & 0xf_fff8)
 }
 
 /// The timing simulator for one machine and one program.
 pub struct Simulator<'p> {
-    config: SimConfig,
-    oracle: Oracle<'p>,
-    program: &'p Program,
-    // Front end.
-    predictor: Box<dyn DirectionPredictor>,
-    confidence: ConfidenceEstimator,
-    btb: Btb,
-    ras: ReturnStack,
-    fetch_queue: VecDeque<Fetched>,
-    next_oracle_idx: u64,
-    /// First oracle index of the measured region: 0 for a full run, the
-    /// post-warm-up trace cursor for a [`Simulator::resume_from`] run. No
-    /// fetched correct-path index is ever below it, so per-index bookkeeping
-    /// (`executed_once`) is stored relative to it.
-    oracle_origin: u64,
-    wrong_path_pc: Option<u64>,
-    fetch_stalled_until: u64,
-    oracle_done: bool,
-    // Back end.
-    //
-    // The window holds a *contiguous* run of sequence numbers (recoveries
-    // rewind `next_seq` to the squash point), so locating an instruction is
-    // a constant-time `seq - head_seq` offset instead of a binary search.
-    window: VecDeque<InFlight>,
-    /// Dispatched-but-not-issued sequence numbers the issue stage polls,
-    /// oldest first. Always sorted: dispatch appends ascending seqs,
-    /// squashes truncate a suffix, and wakeups insert at the seq's sorted
-    /// position. Instructions sleeping on in-flight producers
-    /// (`deps_pending > 0`) are *not* listed — writeback re-inserts them in
-    /// the same cycle their last producer completes, which is exactly the
-    /// cycle a poll would first have observed them ready.
-    waiting: Vec<u64>,
-    /// Pending completion events as `Reverse((complete_cycle, seq))`:
-    /// writeback pops due events instead of scanning every executing
-    /// instruction. Events whose instruction was squashed or rescheduled
-    /// (write-port conflict) are dropped lazily when popped.
-    completion_events: BinaryHeap<Reverse<(u64, u64)>>,
-    /// CPR aggressive-release candidates: completed instructions with a
-    /// younger same-register writer, waiting for their last consumer to
-    /// issue. Replaces a full window scan per cycle.
-    cpr_release_pending: Vec<u64>,
-    /// Per-cycle scratch for the same-logical-register rename limit.
-    rename_scratch: Vec<(ArchReg, usize)>,
-    iq_free: Vec<usize>,
-    iq_occupancy: usize,
-    last_writer: [Option<u64>; msp_isa::NUM_LOGICAL_REGS],
-    backend: Backend,
-    checkpoints: VecDeque<Checkpoint>,
-    insts_since_checkpoint: u64,
-    memory: MemoryHierarchy,
-    load_queue: LoadQueue,
-    store_queue: Box<dyn StoreQueue>,
-    // Progress tracking.
-    cycle: u64,
-    next_seq: u64,
-    /// Every in-flight instruction with a sequence number below this is
-    /// `Done`. The cursor only moves forward (completion is monotone; a
-    /// recovery clamps it to the squash point before seqs are reassigned),
-    /// so the CPR bulk-commit check resumes where it last stopped instead of
-    /// rescanning the whole checkpoint interval every cycle.
-    done_prefix_seq: u64,
-    executed_once: Vec<bool>,
-    stats: SimStats,
+    /// The core of the configured scheme: one dynamic call per run, none
+    /// per instruction.
+    core: Box<dyn Engine + 'p>,
+}
+
+/// What [`Simulator`] asks of its core.
+trait Engine {
+    fn run(&mut self, max_instructions: u64) -> SimResult;
+    fn step_cycle(&mut self);
+    fn config(&self) -> &SimConfig;
+    fn stats(&self) -> &SimStats;
+    fn measurement_start(&self) -> u64;
 }
 
 impl<'p> Simulator<'p> {
@@ -340,7 +268,7 @@ impl<'p> Simulator<'p> {
     /// private oracle: the functional model executes lazily inside this
     /// simulator alone.
     pub fn new(program: &'p Program, config: SimConfig) -> Self {
-        Simulator::with_oracle(program, config, Oracle::new(program))
+        Simulator::build(program, config, Oracle::new(program), 0, None)
     }
 
     /// Creates a simulator whose correct-path instruction stream is served
@@ -356,7 +284,8 @@ impl<'p> Simulator<'p> {
         config: SimConfig,
         trace: impl Into<TraceSource>,
     ) -> Self {
-        Simulator::with_oracle(program, config, Oracle::with_trace(program, trace))
+        let oracle = Oracle::with_trace(program, trace);
+        Simulator::build(program, config, oracle, 0, None)
     }
 
     /// Creates a simulator that resumes mid-trace from an architectural
@@ -400,7 +329,7 @@ impl<'p> Simulator<'p> {
         if warmup_len == 0 {
             // No warm-up: a cold machine, bit-identical to `with_trace` when
             // the cursor is 0.
-            return Self::resume_at(program, config, oracle, checkpoint_index);
+            return Simulator::build(program, config, oracle, checkpoint_index, None);
         }
         let mut warm = WarmState::for_config(program, &config);
         let mut start = checkpoint_index;
@@ -411,9 +340,7 @@ impl<'p> Simulator<'p> {
             warm.absorb(rec);
             start += 1;
         }
-        let mut sim = Self::resume_at(program, config, oracle, start);
-        sim.install_warm(warm);
-        sim
+        Simulator::build(program, config, oracle, start, Some(warm))
     }
 
     /// [`Simulator::resume_from`] with an externally built [`WarmState`]
@@ -434,163 +361,157 @@ impl<'p> Simulator<'p> {
         let mut trace = trace.into();
         Self::checkpoint_or_panic(program, &mut trace, checkpoint_index, 0);
         let oracle = Oracle::with_trace(program, trace);
-        let mut sim = Self::resume_at(program, config, oracle, checkpoint_index);
-        sim.install_warm(warm);
-        sim
+        Simulator::build(program, config, oracle, checkpoint_index, Some(warm))
     }
 
     /// Panics unless the trace records a checkpoint at `checkpoint_index`.
-    /// In debug builds the checkpoint invariant is re-proved on **every**
-    /// resume (`resume_from` and `resume_warmed` alike): functional
-    /// execution from the checkpoint must reproduce the trace's own records
-    /// bit-identically over the longer of 512 records and the warm-up
-    /// window, as far as the trace reaches.
+    /// Release builds only ask whether it exists. In debug builds the
+    /// checkpoint invariant is re-proved on **every** resume (`resume_from`
+    /// and `resume_warmed` alike): functional execution from the decoded
+    /// checkpoint must reproduce the trace's own records bit-identically
+    /// over the longer of 512 records and the warm-up window, as far as the
+    /// trace reaches.
     fn checkpoint_or_panic(
         program: &Program,
         trace: &mut TraceSource,
         checkpoint_index: u64,
         warmup_len: u64,
     ) {
-        let checkpoint = trace.checkpoint_at(checkpoint_index).unwrap_or_else(|| {
+        if !trace.has_checkpoint_at(checkpoint_index) {
             panic!(
                 "resume_from requires an architectural checkpoint at index \
                  {checkpoint_index} (trace interval: {})",
                 trace.checkpoint_interval()
-            )
-        });
-        debug_assert_eq!(
-            checkpoint.retired(),
-            checkpoint_index,
-            "a checkpoint's position is its retired-instruction count"
-        );
+            );
+        }
         #[cfg(debug_assertions)]
         {
             const VALIDATION_WINDOW: u64 = 512;
+            let mut state = trace
+                .checkpoint_at(checkpoint_index)
+                .expect("the trace lists a checkpoint it cannot decode");
+            assert_eq!(
+                state.retired(),
+                checkpoint_index,
+                "a checkpoint's position is its retired-instruction count"
+            );
             let end = checkpoint_index.saturating_add(warmup_len.max(VALIDATION_WINDOW));
-            let mut state = checkpoint;
             for index in checkpoint_index..end {
                 let Some(&expected) = trace.get(program, index) else {
                     break;
                 };
                 let rec = msp_isa::execute_step(&mut state, program)
                     .expect("checkpointed execution reproduces the trace");
-                debug_assert_eq!(expected, rec, "checkpoint-replay record {index}");
+                assert_eq!(expected, rec, "checkpoint-replay record {index}");
             }
         }
         #[cfg(not(debug_assertions))]
         let _ = (program, warmup_len);
     }
 
-    /// Positions a fresh simulator on `oracle` so measurement starts at
-    /// trace index `start`.
-    fn resume_at(program: &'p Program, config: SimConfig, oracle: Oracle<'p>, start: u64) -> Self {
-        let mut sim = Simulator::with_oracle(program, config, oracle);
-        sim.next_oracle_idx = start;
-        sim.oracle_origin = start;
-        // CPR's initial rollback point must be the measurement start, not
-        // trace index 0: an early recovery with no younger checkpoint
-        // re-fetches from here, never from the skipped prefix.
-        if let Some(chk) = sim.checkpoints.front_mut() {
-            chk.oracle_idx = start;
-        }
-        sim
-    }
-
-    fn install_warm(&mut self, warm: WarmState) {
-        self.memory = warm.memory;
-        self.predictor = warm.predictor;
-        self.confidence = warm.confidence;
-        self.btb = warm.btb;
-        self.ras = warm.ras;
+    /// Picks the configured scheme's core, measuring from trace index
+    /// `start` with `warm` structures (fresh ones when `None`).
+    fn build(
+        program: &'p Program,
+        config: SimConfig,
+        oracle: Oracle<'p>,
+        start: u64,
+        warm: Option<WarmState>,
+    ) -> Self {
+        let core: Box<dyn Engine + 'p> = match config.machine {
+            MachineKind::Baseline => {
+                Box::new(Core::<Rob>::new(program, config, oracle, start, warm))
+            }
+            MachineKind::Cpr { .. } => {
+                Box::new(Core::<Cpr>::new(program, config, oracle, start, warm))
+            }
+            MachineKind::Msp { .. } | MachineKind::IdealMsp => {
+                Box::new(Core::<MspScheme>::new(program, config, oracle, start, warm))
+            }
+        };
+        Simulator { core }
     }
 
     /// First trace index of the measured region (0 for a non-resumed run).
     pub fn measurement_start(&self) -> u64 {
-        self.oracle_origin
-    }
-
-    fn with_oracle(program: &'p Program, config: SimConfig, oracle: Oracle<'p>) -> Self {
-        let backend = match config.machine {
-            MachineKind::Baseline | MachineKind::Cpr { .. } => Backend::Counted {
-                int_free: config
-                    .resources
-                    .regs_per_class
-                    .saturating_sub(msp_isa::NUM_INT_REGS),
-                fp_free: config
-                    .resources
-                    .regs_per_class
-                    .saturating_sub(msp_isa::NUM_FP_REGS),
-            },
-            MachineKind::Msp { .. } | MachineKind::IdealMsp => Backend::Msp {
-                manager: Box::new(MspStateManager::new(config.msp_config())),
-                arbiter: PortArbiter::new(msp_isa::NUM_LOGICAL_REGS),
-            },
-        };
-        let store_queue: Box<dyn StoreQueue> = if config.resources.sq_l2_size == 0 {
-            Box::new(SimpleStoreQueue::new(config.resources.sq_l1_size))
-        } else {
-            Box::new(HierarchicalStoreQueue::new(
-                config.resources.sq_l1_size,
-                config.resources.sq_l2_size,
-                config.resources.sq_l2_scan_latency,
-            ))
-        };
-        let mut checkpoints = VecDeque::new();
-        if matches!(config.machine, MachineKind::Cpr { .. }) {
-            checkpoints.push_back(Checkpoint {
-                oracle_idx: 0,
-                start_seq: 0,
-            });
-        }
-        Simulator {
-            oracle,
-            program,
-            predictor: build_predictor(config.predictor),
-            confidence: ConfidenceEstimator::paper(),
-            btb: Btb::default_config(),
-            ras: ReturnStack::default(),
-            fetch_queue: VecDeque::new(),
-            next_oracle_idx: 0,
-            oracle_origin: 0,
-            wrong_path_pc: None,
-            fetch_stalled_until: 0,
-            oracle_done: false,
-            window: VecDeque::new(),
-            waiting: Vec::new(),
-            completion_events: BinaryHeap::new(),
-            cpr_release_pending: Vec::new(),
-            rename_scratch: Vec::new(),
-            iq_free: (0..config.resources.iq_size).rev().collect(),
-            iq_occupancy: 0,
-            last_writer: [None; msp_isa::NUM_LOGICAL_REGS],
-            backend,
-            checkpoints,
-            insts_since_checkpoint: 0,
-            memory: MemoryHierarchy::new(config.memory),
-            load_queue: LoadQueue::new(config.resources.lq_size),
-            store_queue,
-            cycle: 0,
-            next_seq: 0,
-            done_prefix_seq: 0,
-            executed_once: Vec::new(),
-            stats: SimStats::default(),
-            config,
-        }
+        self.core.measurement_start()
     }
 
     /// The configuration being simulated.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        self.core.config()
     }
 
     /// Statistics collected so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.core.stats()
     }
 
     /// Runs the simulation until `max_instructions` correct-path instructions
     /// have committed, the program finishes, or progress stops (watchdog).
     pub fn run(&mut self, max_instructions: u64) -> SimResult {
+        self.core.run(max_instructions)
+    }
+
+    /// Advances the machine by one clock cycle.
+    pub fn step_cycle(&mut self) {
+        self.core.step_cycle();
+    }
+}
+
+/// The simulator core of one scheme.
+struct Core<'p, S: Scheme> {
+    config: SimConfig,
+    oracle: Oracle<'p>,
+    program: &'p Program,
+    /// Caches, branch predictors, BTB and return stack.
+    warm: WarmState,
+    // Front end.
+    fetch_queue: VecDeque<Fetched>,
+    next_oracle_idx: u64,
+    /// First oracle index of the measured region: 0 for a full run, the
+    /// post-warm-up trace cursor for a [`Simulator::resume_from`] run. No
+    /// fetched correct-path index is ever below it, so per-index bookkeeping
+    /// (`executed_once`) is stored relative to it.
+    oracle_origin: u64,
+    wrong_path_pc: Option<u64>,
+    fetch_stalled_until: u64,
+    oracle_done: bool,
+    // Back end.
+    window: Window<S::Tag>,
+    /// Dispatched-but-not-issued sequence numbers the issue stage polls,
+    /// oldest first. Always sorted: dispatch appends ascending seqs,
+    /// squashes truncate a suffix, and wakeups insert at the seq's sorted
+    /// position. Instructions sleeping on in-flight producers
+    /// (`deps_pending > 0`) are *not* listed — writeback re-inserts them in
+    /// the same cycle their last producer completes, which is exactly the
+    /// cycle a poll would first have observed them ready.
+    waiting: Vec<u64>,
+    /// Pending completion events as `Reverse((complete_cycle, seq))`:
+    /// writeback pops due events instead of scanning every executing
+    /// instruction. Events whose instruction was squashed or rescheduled
+    /// (write-port conflict) are dropped lazily when popped.
+    completion_events: BinaryHeap<Reverse<(u64, u64)>>,
+    /// This cycle's renamings of each logical register.
+    renamed: [u16; msp_isa::NUM_LOGICAL_REGS],
+    iq_free: Vec<usize>,
+    iq_occupancy: usize,
+    last_writer: [Option<u64>; msp_isa::NUM_LOGICAL_REGS],
+    scheme: S,
+    /// The scheme's dispatch limits (see [`Scheme::dispatch_limits`]).
+    window_cap: usize,
+    same_reg_limit: usize,
+    load_queue: LoadQueue,
+    store_queue: Box<dyn StoreQueue>,
+    // Progress tracking.
+    cycle: u64,
+    next_seq: u64,
+    executed_once: Vec<bool>,
+    stats: SimStats,
+}
+
+impl<S: Scheme> Engine for Core<'_, S> {
+    fn run(&mut self, max_instructions: u64) -> SimResult {
         let mut last_committed = 0;
         let mut idle_cycles = 0u64;
         let mut truncated = false;
@@ -622,13 +543,10 @@ impl<'p> Simulator<'p> {
         }
     }
 
-    /// Advances the machine by one clock cycle.
-    pub fn step_cycle(&mut self) {
+    fn step_cycle(&mut self) {
         self.cycle += 1;
         self.stats.cycles += 1;
-        if let Backend::Msp { arbiter, .. } = &mut self.backend {
-            arbiter.begin_cycle();
-        }
+        self.scheme.begin_cycle();
         self.writeback_stage();
         self.commit_stage();
         self.issue_stage();
@@ -636,20 +554,68 @@ impl<'p> Simulator<'p> {
         self.fetch_stage();
     }
 
-    // ----------------------------------------------------------------- util
+    fn config(&self) -> &SimConfig {
+        &self.config
+    }
 
-    /// Locates an in-flight instruction in O(1): the window is a contiguous
-    /// run of sequence numbers, so the index is the offset from the head.
-    fn window_index(&self, seq: u64) -> Option<usize> {
-        let head = self.window.front()?.seq;
-        let idx = seq.checked_sub(head)? as usize;
-        if idx < self.window.len() {
-            debug_assert_eq!(self.window[idx].seq, seq, "window must stay seq-contiguous");
-            Some(idx)
+    fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+
+    fn measurement_start(&self) -> u64 {
+        self.oracle_origin
+    }
+}
+
+impl<'p, S: Scheme> Core<'p, S> {
+    fn new(
+        program: &'p Program,
+        config: SimConfig,
+        oracle: Oracle<'p>,
+        start: u64,
+        warm: Option<WarmState>,
+    ) -> Self {
+        let store_queue: Box<dyn StoreQueue> = if config.resources.sq_l2_size == 0 {
+            Box::new(SimpleStoreQueue::new(config.resources.sq_l1_size))
         } else {
-            None
+            Box::new(HierarchicalStoreQueue::new(
+                config.resources.sq_l1_size,
+                config.resources.sq_l2_size,
+                config.resources.sq_l2_scan_latency,
+            ))
+        };
+        let (window_cap, same_reg_limit) = S::dispatch_limits(&config);
+        Core {
+            oracle,
+            program,
+            warm: warm.unwrap_or_else(|| WarmState::cold(&config)),
+            fetch_queue: VecDeque::new(),
+            next_oracle_idx: start,
+            oracle_origin: start,
+            wrong_path_pc: None,
+            fetch_stalled_until: 0,
+            oracle_done: false,
+            window: VecDeque::new(),
+            waiting: Vec::new(),
+            completion_events: BinaryHeap::new(),
+            renamed: [0; msp_isa::NUM_LOGICAL_REGS],
+            iq_free: (0..config.resources.iq_size).rev().collect(),
+            iq_occupancy: 0,
+            last_writer: [None; msp_isa::NUM_LOGICAL_REGS],
+            scheme: S::new(&config, start),
+            window_cap,
+            same_reg_limit,
+            load_queue: LoadQueue::new(config.resources.lq_size),
+            store_queue,
+            cycle: 0,
+            next_seq: 0,
+            executed_once: Vec::new(),
+            stats: SimStats::default(),
+            config,
         }
     }
+
+    // ----------------------------------------------------------------- util
 
     /// Wakes every consumer sleeping on the (just completed) instruction at
     /// window index `idx`: their pending-producer count drops and, when it
@@ -664,7 +630,7 @@ impl<'p> Simulator<'p> {
         let waiters = self.window[idx].waiters;
         self.window[idx].waiter_count = 0;
         for &waiter in &waiters[..count] {
-            let Some(widx) = self.window_index(waiter) else {
+            let Some(widx) = window_index(&self.window, waiter) else {
                 debug_assert!(false, "sleeping consumers outlive their producers");
                 continue;
             };
@@ -680,31 +646,11 @@ impl<'p> Simulator<'p> {
     }
 
     fn is_seq_done(&self, seq: u64) -> bool {
-        match self.window_index(seq) {
+        match window_index(&self.window, seq) {
             Some(idx) => self.window[idx].status == Status::Done,
             // Not in the window any more: it committed (or was squashed, in
             // which case no surviving instruction depends on it).
             None => true,
-        }
-    }
-
-    fn wrong_path_address(pc: u64) -> u64 {
-        // Deterministic pseudo effective address for wrong-path memory
-        // instructions: stays in the data region, 8-byte aligned.
-        0x10_0000 + (pc.wrapping_mul(0x9e37_79b9_7f4a_7c15) & 0xf_fff8)
-    }
-
-    fn free_counted_register(&mut self, class: RegClass) {
-        let limit = self
-            .config
-            .resources
-            .regs_per_class
-            .saturating_sub(msp_isa::NUM_INT_REGS);
-        if let Backend::Counted { int_free, fp_free } = &mut self.backend {
-            match class {
-                RegClass::Int => *int_free = (*int_free + 1).min(limit),
-                RegClass::Fp => *fp_free = (*fp_free + 1).min(limit),
-            }
         }
     }
 
@@ -723,218 +669,89 @@ impl<'p> Simulator<'p> {
             self.completion_events.pop();
             // Lazy deletion: squashed instructions and stale (rescheduled)
             // events simply fall through.
-            let Some(idx) = self.window_index(seq) else {
+            let Some(idx) = window_index(&self.window, seq) else {
                 continue;
             };
-            if self.window[idx].status != Status::Executing
-                || self.window[idx].complete_cycle != event_cycle
-            {
+            let inst = &mut self.window[idx];
+            if inst.status != Status::Executing || inst.complete_cycle != event_cycle {
                 continue;
             }
-            // MSP write-port arbitration: a completion may be delayed a cycle
-            // when its bank's single write port is already taken.
-            if self.config.arbitration {
-                if let (Some(dest), Backend::Msp { arbiter, .. }) =
-                    (self.window[idx].msp_dest, &mut self.backend)
-                {
-                    if !arbiter.request_write(dest.bank()) {
-                        self.stats.port_conflicts += 1;
-                        self.window[idx].complete_cycle = self.cycle + 1;
-                        self.completion_events.push(Reverse((self.cycle + 1, seq)));
-                        continue;
-                    }
-                }
+            // A completion waits a cycle when its bank's single write port is
+            // already taken (MSP write-port arbitration).
+            if !self.scheme.complete(seq, &inst.tag) {
+                self.stats.port_conflicts += 1;
+                inst.complete_cycle = self.cycle + 1;
+                self.completion_events.push(Reverse((self.cycle + 1, seq)));
+                continue;
             }
-            self.window[idx].status = Status::Done;
+            inst.status = Status::Done;
             self.wake_waiters(idx);
-            let (msp_dest, anchor, oracle_idx, mispredicted, is_load, superseded, dest) = {
-                let i = &self.window[idx];
-                (
-                    i.msp_dest,
-                    i.msp_anchor_bit,
-                    i.oracle_idx,
-                    i.mispredicted,
-                    i.rec.inst.is_load(),
-                    i.superseded_by.is_some(),
-                    i.dest,
-                )
-            };
+            let inst = &mut self.window[idx];
             // Register-file write accounting: the produced value drains to
-            // its bank this cycle (post-grant on arbitrated machines). MSP
-            // writes go to the renamed physical bank; Baseline/CPR writes
-            // are attributed to the logical register's flat index.
-            if let Some(phys) = msp_dest {
-                self.stats.activity.rf_writes[phys.bank()] += 1;
-            } else if let (Backend::Counted { .. }, Some(dest)) = (&self.backend, dest) {
+            // its bank this cycle (post-grant on arbitrated machines). A
+            // logical register's flat index is its MSP bank.
+            if let Some(dest) = inst.dest {
                 self.stats.activity.rf_writes[dest.flat_index()] += 1;
             }
-            // Backend-specific completion bookkeeping.
-            if let Backend::Msp { manager, .. } = &mut self.backend {
-                if let Some(phys) = msp_dest {
-                    manager.mark_ready(phys);
-                } else if let Some((phys, slot)) = anchor {
-                    manager.clear_use(phys, slot);
-                }
-            }
-            // A completed instruction that already has a younger writer of
-            // its destination becomes a CPR release candidate.
-            if superseded && matches!(self.config.machine, MachineKind::Cpr { .. }) {
-                self.cpr_release_pending.push(seq);
-            }
-            // A non-allocating instruction keeps its IQ slot for anchor
-            // tracking until completion; release it now.
-            if let Some(slot) = self.window[idx].iq_slot.take() {
+            // An instruction the scheme let keep its IQ slot past issue
+            // releases it now.
+            if let Some(slot) = inst.iq_slot.take() {
                 self.iq_free.push(slot);
             }
-            if is_load {
+            if inst.rec.inst.is_load() {
                 self.stats.activity.lq_searches += 1;
                 self.load_queue.remove(seq);
             }
             // Branch resolution: the oldest mispredicted branch on the
             // correct path triggers a recovery.
-            if mispredicted && oracle_idx.is_some() && recovery.is_none() {
+            if inst.mispredicted && inst.oracle_idx.is_some() && recovery.is_none() {
                 recovery = Some(seq);
             }
         }
-        self.release_cpr_registers();
         if let Some(branch_seq) = recovery {
             self.recover_from(branch_seq);
         }
     }
 
-    /// CPR aggressive register release (reference-counter semantics): an
-    /// instruction's destination register returns to the pool once the value
-    /// has been produced, all its known consumers have issued, and a younger
-    /// correct-path instruction writing the same logical register exists.
-    ///
-    /// Candidates enter `cpr_release_pending` the moment they are both
-    /// completed and superseded (at writeback or at the superseding
-    /// dispatch), so only the handful of instructions still waiting on a
-    /// consumer are rescanned each cycle — not the whole window.
-    fn release_cpr_registers(&mut self) {
-        if self.cpr_release_pending.is_empty() {
-            return;
-        }
-        let mut kept = 0;
-        for i in 0..self.cpr_release_pending.len() {
-            let seq = self.cpr_release_pending[i];
-            // Dropped from the window (committed or squashed): the commit or
-            // recovery path owns the register now.
-            let Some(idx) = self.window_index(seq) else {
-                continue;
-            };
-            let inst = &self.window[idx];
-            if inst.reg_released {
-                continue;
-            }
-            if inst.pending_consumers > 0 {
-                self.cpr_release_pending[kept] = seq;
-                kept += 1;
-                continue;
-            }
-            if let Some(dest) = inst.dest {
-                self.window[idx].reg_released = true;
-                self.free_counted_register(dest.class());
-            }
-        }
-        self.cpr_release_pending.truncate(kept);
-    }
-
     // -------------------------------------------------------------- recover
 
     fn recover_from(&mut self, branch_seq: u64) {
-        let branch_idx = self
-            .window_index(branch_seq)
-            .expect("recovering branch is in flight");
-        let branch_oracle = self.window[branch_idx]
+        let branch = &self.window
+            [window_index(&self.window, branch_seq).expect("recovering branch is in flight")];
+        let branch_oracle = branch
             .oracle_idx
             .expect("only correct-path branches trigger recovery");
+        let branch_tag = branch.tag;
         self.stats.recoveries += 1;
-
-        // Determine the squash point and the fetch restart point.
-        let (squash_from_seq, restart_oracle_idx) = match self.config.machine {
-            MachineKind::Cpr { .. } => {
-                // Roll back to the youngest checkpoint at or before the
-                // faulting branch; everything younger — including correctly
-                // executed correct-path work — is squashed and re-fetched.
-                while self.checkpoints.len() > 1
-                    && self
-                        .checkpoints
-                        .back()
-                        .map(|c| c.oracle_idx > branch_oracle)
-                        .unwrap_or(false)
-                {
-                    self.checkpoints.pop_back();
-                    self.stats.activity.checkpoint_releases += 1;
-                }
-                let chk = *self
-                    .checkpoints
-                    .back()
-                    .expect("CPR always keeps at least one checkpoint");
-                if chk.oracle_idx < branch_oracle {
-                    self.stats.imprecise_recoveries += 1;
-                }
-                self.insts_since_checkpoint = 0;
-                (chk.start_seq, chk.oracle_idx)
-            }
-            // Baseline and MSP recover precisely: only instructions younger
-            // than the branch (the wrong path) are squashed.
-            _ => (branch_seq + 1, branch_oracle + 1),
-        };
-
-        // MSP: the precise Recovery StateId is the state of the branch.
-        let msp_recovery_state = self.window[branch_idx].msp_state;
+        let (squash_from_seq, restart_oracle_idx) =
+            self.scheme
+                .squash_point(branch_seq, branch_oracle, &mut self.stats);
 
         // Squash every in-flight instruction at or beyond the squash point
         // (youngest first), processing each entry as it is popped.
-        while self
-            .window
-            .back()
-            .map(|i| i.seq >= squash_from_seq)
-            .unwrap_or(false)
-        {
+        while self.window.back().is_some_and(|i| i.seq >= squash_from_seq) {
             let inst = self.window.pop_back().expect("back checked above");
             if inst.status == Status::Waiting {
                 self.iq_occupancy -= 1;
             }
             if let Some(slot) = inst.iq_slot {
                 self.iq_free.push(slot);
-                if let Backend::Msp { manager, .. } = &mut self.backend {
-                    manager.clear_iq_slot(slot);
-                }
             }
-            if let Some(dest) = inst.dest {
-                if !inst.reg_released && !matches!(self.backend, Backend::Msp { .. }) {
-                    self.free_counted_register(dest.class());
-                }
-            }
+            self.scheme.release(&inst);
         }
         // Rewind the sequence counter so the window stays contiguous: the
         // squashed numbers are reassigned to the re-fetched instructions.
         // Every structure keyed by a squashed seq is purged here so a stale
         // entry can never alias a reassigned number.
         self.next_seq = squash_from_seq;
-        self.done_prefix_seq = self.done_prefix_seq.min(squash_from_seq);
         self.waiting
             .truncate(self.waiting.partition_point(|seq| *seq < squash_from_seq));
         self.completion_events
             .retain(|&Reverse((_, seq))| seq < squash_from_seq);
-        self.cpr_release_pending
-            .retain(|seq| *seq < squash_from_seq);
-        let youngest_surviving_seq = squash_from_seq.saturating_sub(1);
-        self.load_queue.squash_younger(youngest_surviving_seq);
-        self.store_queue.squash_younger(youngest_surviving_seq);
-
-        // Backend-specific state restoration.
-        if let Backend::Msp { manager, .. } = &mut self.backend {
-            let state = match self.config.machine {
-                MachineKind::Msp { .. } | MachineKind::IdealMsp => {
-                    msp_recovery_state.expect("MSP instructions always carry a state")
-                }
-                _ => unreachable!("MSP backend on a non-MSP machine"),
-            };
-            manager.recover(state, |_| {});
-        }
+        self.load_queue
+            .squash_younger(squash_from_seq.saturating_sub(1));
+        self.scheme
+            .recover(&branch_tag, squash_from_seq, &mut *self.store_queue);
 
         // Rebuild the logical-register writer map from surviving
         // instructions (generic dependence tracking), and drop waiter
@@ -964,17 +781,18 @@ impl<'p> Simulator<'p> {
         self.fetch_stalled_until = self.cycle + 1;
 
         #[cfg(any(debug_assertions, feature = "invariant_audit"))]
-        self.audit_recovery(msp_recovery_state);
+        self.audit_recovery(&branch_tag);
     }
 
     /// Post-recovery invariant audit (the full-scale sibling of the
     /// `msp-check` explorer's assertions): the window stayed contiguous,
-    /// every seq-keyed side structure was purged of squashed entries, and —
-    /// on MSP machines — the rename map rewound exactly to the recovery
-    /// state. Compiled only into debug builds and `invariant_audit` builds;
-    /// release hot paths never execute it.
+    /// every seq-keyed side structure was purged of squashed entries, and
+    /// the scheme accepts every survivor (on MSP machines: the rename map
+    /// rewound exactly to the recovery state). Compiled only into debug
+    /// builds and `invariant_audit` builds; release hot paths never execute
+    /// it.
     #[cfg(any(debug_assertions, feature = "invariant_audit"))]
-    fn audit_recovery(&self, recovery_state: Option<StateId>) {
+    fn audit_recovery(&self, recovered: &S::Tag) {
         let mut expected = self.window.front().map(|i| i.seq);
         for inst in &self.window {
             assert_eq!(
@@ -1005,7 +823,9 @@ impl<'p> Simulator<'p> {
             "issue wait-list must stay strictly sorted across a squash"
         );
         assert!(
-            self.waiting.iter().all(|s| self.window_index(*s).is_some()),
+            self.waiting
+                .iter()
+                .all(|s| window_index(&self.window, *s).is_some()),
             "issue wait-list must not retain squashed seqs"
         );
         for &Reverse((_, seq)) in &self.completion_events {
@@ -1014,81 +834,30 @@ impl<'p> Simulator<'p> {
                 "completion event survived for squashed seq {seq}"
             );
         }
-        let (Backend::Msp { manager, .. }, Some(state)) = (&self.backend, recovery_state) else {
-            return;
-        };
         for inst in &self.window {
-            if let Some(s) = inst.msp_state {
-                assert!(
-                    s <= state,
-                    "surviving instruction seq {} carries squashed state {s} \
-                     (recovered to {state})",
-                    inst.seq
-                );
-            }
-        }
-        // The rename map rewound exactly: every logical register whose
-        // youngest surviving writer is still in flight must map to that
-        // writer's physical register.
-        for (flat, writer) in self.last_writer.iter().enumerate() {
-            let Some(seq) = writer else { continue };
-            let idx = self
-                .window_index(*seq)
-                .expect("writer map is rebuilt from the surviving window");
-            if let Some(dest) = self.window[idx].msp_dest {
-                let mapped = manager.source_mapping(ArchReg::from_flat_index(flat)).phys;
-                assert_eq!(
-                    mapped, dest,
-                    "rename map points r{flat} at {mapped} but its youngest surviving \
-                     writer (seq {seq}) allocated {dest}"
-                );
-            }
+            let youngest = inst
+                .dest
+                .is_some_and(|d| self.last_writer[d.flat_index()] == Some(inst.seq));
+            self.scheme.audit_survivor(recovered, inst, youngest);
         }
     }
 
     // --------------------------------------------------------------- commit
 
+    /// Retires what the scheme commits this cycle, oldest first, then
+    /// drains every store older than its boundary to memory: one D-cache
+    /// access each, plus an L2 access when the line was not resident in the
+    /// D-cache.
     fn commit_stage(&mut self) {
-        match self.config.machine {
-            MachineKind::Baseline => self.commit_baseline(),
-            MachineKind::Cpr { .. } => self.commit_cpr(),
-            MachineKind::Msp { .. } | MachineKind::IdealMsp => self.commit_msp(),
+        let drained = self.oracle_done && self.fetch_queue.is_empty();
+        let (retiring, boundary_seq) =
+            self.scheme
+                .commit(&mut self.window, self.next_seq, drained, &mut self.stats);
+        for inst in self.window.drain(..retiring) {
+            self.stats.committed += u64::from(inst.oracle_idx.is_some());
+            self.scheme.release(&inst);
         }
-    }
-
-    fn retire_front(&mut self) -> InFlight {
-        let inst = self
-            .window
-            .pop_front()
-            .expect("caller checked that the window front exists");
-        if inst.oracle_idx.is_some() {
-            self.stats.committed += 1;
-        }
-        inst
-    }
-
-    fn commit_baseline(&mut self) {
-        let mut retired = 0;
-        while retired < self.config.frontend.retire_width {
-            match self.window.front() {
-                Some(front) if front.status == Status::Done => {}
-                _ => break,
-            }
-            let inst = self.retire_front();
-            let seq = inst.seq;
-            if let (Some(dest), false) = (inst.dest, inst.reg_released) {
-                self.free_counted_register(dest.class());
-            }
-            self.drain_committed_stores(seq + 1);
-            retired += 1;
-        }
-    }
-
-    /// Drains every committed store older than `boundary_seq` to memory:
-    /// one D-cache access each, plus an L2 access when the line was not
-    /// resident in the D-cache.
-    fn drain_committed_stores(&mut self, boundary_seq: u64) {
-        let memory = &mut self.memory;
+        let memory = &mut self.warm.memory;
         let activity = &mut self.stats.activity;
         self.store_queue
             .drain_committed_with(boundary_seq, &mut |drained| {
@@ -1097,108 +866,6 @@ impl<'p> Simulator<'p> {
                     activity.l2_accesses += 1;
                 }
             });
-    }
-
-    /// Advances [`Simulator::done_prefix_seq`] towards `limit_seq` and
-    /// reports whether every in-flight instruction older than `limit_seq`
-    /// has completed. Already-verified seqs are never re-examined.
-    fn window_done_below(&mut self, limit_seq: u64) -> bool {
-        if self.done_prefix_seq >= limit_seq {
-            return true;
-        }
-        let Some(head_seq) = self.window.front().map(|f| f.seq) else {
-            self.done_prefix_seq = self.done_prefix_seq.max(limit_seq);
-            return true;
-        };
-        let mut seq = self.done_prefix_seq.max(head_seq);
-        while seq < limit_seq {
-            match self.window.get((seq - head_seq) as usize) {
-                Some(inst) if inst.status == Status::Done => seq += 1,
-                Some(_) => {
-                    self.done_prefix_seq = seq;
-                    return false;
-                }
-                // Past the window's tail: nothing older remains in flight.
-                None => break,
-            }
-        }
-        self.done_prefix_seq = seq.max(self.done_prefix_seq);
-        true
-    }
-
-    fn commit_cpr(&mut self) {
-        // The oldest checkpoint interval commits in bulk when every
-        // instruction dispatched before the next checkpoint has completed.
-        loop {
-            if self.checkpoints.len() < 2 {
-                break;
-            }
-            let boundary_seq = self.checkpoints[1].start_seq;
-            if !self.window_done_below(boundary_seq) {
-                break;
-            }
-            while self
-                .window
-                .front()
-                .map(|i| i.seq < boundary_seq)
-                .unwrap_or(false)
-            {
-                let inst = self.retire_front();
-                if let (Some(dest), false) = (inst.dest, inst.reg_released) {
-                    self.free_counted_register(dest.class());
-                }
-            }
-            self.drain_committed_stores(boundary_seq);
-            self.checkpoints.pop_front();
-            self.stats.activity.checkpoint_releases += 1;
-        }
-        // End of program: the final checkpoint interval has no successor, so
-        // commit it once everything in flight has completed.
-        if self.checkpoints.len() == 1
-            && self.oracle_done
-            && self.fetch_queue.is_empty()
-            && !self.window.is_empty()
-            && self.window.iter().all(|i| i.status == Status::Done)
-        {
-            while self.window.front().is_some() {
-                self.retire_front();
-            }
-            self.drain_committed_stores(u64::MAX);
-        }
-    }
-
-    fn commit_msp(&mut self) {
-        let lcs = match &mut self.backend {
-            Backend::Msp { manager, .. } => manager.clock_commit(|_| {}),
-            Backend::Counted { .. } => unreachable!("MSP commit with a counted backend"),
-        };
-        // The LCS unit propagates its reduction once per commit clock.
-        self.stats.activity.lcs_propagations += 1;
-        // Retire every correct-path instruction older than the LCS from the
-        // window head (bulk commit: no retire-width limit, Table I).
-        let mut retired_any = false;
-        while let Some(front) = self.window.front() {
-            let state = front.msp_state.unwrap_or(StateId::ZERO);
-            if state < lcs && front.status == Status::Done {
-                self.retire_front();
-                retired_any = true;
-            } else {
-                break;
-            }
-        }
-        // Draining the (potentially huge) store queue is only needed when
-        // the commit point actually moved. The drain is gated by window
-        // *retirement* (everything older than the remaining window head),
-        // not by the raw LCS: with a pipelined LCS a store can dispatch into
-        // the current state after a younger minimum was already computed, so
-        // `state < lcs` alone does not imply the store has executed — the
-        // model checker's `store drained before it executed` oracle catches
-        // exactly that hazard. Retirement requires completion, so the
-        // boundary is always safe.
-        if retired_any {
-            let boundary_seq = self.window.front().map_or(self.next_seq, |f| f.seq);
-            self.drain_committed_stores(boundary_seq);
-        }
     }
 
     // ---------------------------------------------------------------- issue
@@ -1219,7 +886,7 @@ impl<'p> Simulator<'p> {
                 break;
             }
             let seq = self.waiting[i];
-            let Some(idx) = self.window_index(seq) else {
+            let Some(idx) = window_index(&self.window, seq) else {
                 continue;
             };
             if self.window[idx].status != Status::Waiting {
@@ -1251,62 +918,36 @@ impl<'p> Simulator<'p> {
             if *pool_used >= pool_size {
                 continue;
             }
-            // MSP read-port arbitration: one read port per bank per cycle,
+            // Read-port arbitration: one read port per bank per cycle,
             // requested once for each distinct source bank.
-            if self.config.arbitration {
-                if let Backend::Msp { arbiter, .. } = &mut self.backend {
-                    let mut all_granted = true;
-                    for bank in self.window[idx].msp_read_banks().into_iter().flatten() {
-                        if !arbiter.request_read(bank) {
-                            all_granted = false;
-                        }
-                    }
-                    if !all_granted {
-                        self.stats.port_conflicts += 1;
-                        continue;
-                    }
-                }
-            }
+            let inst = &self.window[idx];
+            let Some(read_banks) = self.scheme.read(&inst.tag, &inst.rec.inst) else {
+                self.stats.port_conflicts += 1;
+                continue;
+            };
             *pool_used += 1;
             issued += 1;
             self.waiting[i] = ISSUED;
             picked_any = true;
-            self.issue_instruction(idx);
+            self.issue_instruction(idx, read_banks);
         }
         if picked_any {
             self.waiting.retain(|seq| *seq != ISSUED);
         }
     }
 
-    fn issue_instruction(&mut self, idx: usize) {
+    fn issue_instruction(&mut self, idx: usize, read_banks: [Option<usize>; 2]) {
         let seq = self.window[idx].seq;
         let class = self.window[idx].rec.inst.fu_class();
         let mut latency = self.config.latency.for_class(class);
         let rec = self.window[idx].rec;
         // Register-file read accounting: one access per distinct source
-        // bank, exactly what the 1R-port arbitration rule charges. MSP
-        // reads are attributed to the renamed physical bank; Baseline/CPR
-        // reads to the logical register's flat index.
-        let read_banks = match &self.backend {
-            Backend::Msp { .. } => self.window[idx].msp_read_banks(),
-            Backend::Counted { .. } => {
-                let mut read_banks = [None, None];
-                for (slot, src) in rec.inst.sources().take(2).enumerate() {
-                    let bank = src.flat_index();
-                    if slot == 0 || read_banks[0] != Some(bank) {
-                        read_banks[slot] = Some(bank);
-                    }
-                }
-                read_banks
-            }
-        };
+        // bank, exactly what the 1R-port arbitration rule charges.
         for bank in read_banks.into_iter().flatten() {
             self.stats.activity.rf_reads[bank] += 1;
         }
         if rec.inst.is_load() {
-            let addr = rec
-                .mem_addr
-                .unwrap_or_else(|| Self::wrong_path_address(rec.pc));
+            let addr = rec.mem_addr.unwrap_or_else(|| wrong_path_address(rec.pc));
             self.stats.activity.sq_searches += 1;
             let fwd = self
                 .store_queue
@@ -1316,8 +957,8 @@ impl<'p> Simulator<'p> {
                 latency += fwd.latency() + 1;
             } else {
                 self.stats.activity.dcache_accesses += 1;
-                let mem_latency = self.memory.load_latency(addr);
-                if mem_latency > self.memory.config().dl1.hit_latency {
+                let mem_latency = self.warm.memory.load_latency(addr);
+                if mem_latency > self.warm.memory.config().dl1.hit_latency {
                     self.stats.dcache_misses += 1;
                     self.stats.activity.l2_accesses += 1;
                 }
@@ -1346,27 +987,12 @@ impl<'p> Simulator<'p> {
             }
             None => self.stats.executed.wrong_path += 1,
         }
-        // Free the issue-queue entry and clear the source use bits.
+        // Free the issue-queue entry, unless the scheme keeps it until
+        // completion.
         self.iq_occupancy -= 1;
-        let source_bits = std::mem::take(&mut self.window[idx].msp_source_bits);
-        if let Backend::Msp { manager, .. } = &mut self.backend {
-            for (phys, slot) in source_bits.into_iter().flatten() {
-                manager.clear_use(phys, slot);
-            }
-        }
-        // Keep the IQ slot reserved for anchor tracking of non-allocating
-        // instructions until completion; others release it now.
-        if self.window[idx].msp_anchor_bit.is_none() {
+        if !self.scheme.issue(&mut self.window, idx) {
             if let Some(slot) = self.window[idx].iq_slot.take() {
                 self.iq_free.push(slot);
-            }
-        }
-        // Decrement producer reference counts (CPR release tracking).
-        let deps = self.window[idx].deps;
-        for producer in deps.iter().flatten() {
-            if let Some(pidx) = self.window_index(*producer) {
-                self.window[pidx].pending_consumers =
-                    self.window[pidx].pending_consumers.saturating_sub(1);
             }
         }
         self.window[idx].status = Status::Executing;
@@ -1377,225 +1003,67 @@ impl<'p> Simulator<'p> {
 
     // ------------------------------------------------------------- dispatch
 
+    /// Dispatches up to `rename_width` instructions, stopping at the first
+    /// stall and counting its cause.
     fn dispatch_stage(&mut self) {
-        let width = self.config.frontend.rename_width;
-        let mut dispatched = 0;
-        // Per-cycle same-logical-register rename limit (MSP, Section 3.3).
-        // The tracking list is a reusable scratch buffer on the simulator
-        // (at most `rename_width` entries per cycle).
-        self.rename_scratch.clear();
-        while dispatched < width {
+        // Per-cycle renamings of each logical register (Section 3.3).
+        self.renamed = [0; msp_isa::NUM_LOGICAL_REGS];
+        for _ in 0..self.config.frontend.rename_width {
+            let stalls = &mut self.stats.stalls;
             let Some(front) = self.fetch_queue.front() else {
-                self.stats.stalls.frontend_empty += 1;
+                stalls.frontend_empty += 1;
                 break;
             };
-            if front.ready_cycle > self.cycle {
-                self.stats.stalls.frontend_empty += 1;
-                break;
-            }
-            // MSP same-register-per-cycle admission.
-            if self.config.machine.is_msp() {
-                if let Some(dest) = front.rec.inst.dest() {
-                    let count = self
-                        .rename_scratch
-                        .iter()
-                        .find(|(r, _)| *r == dest)
-                        .map(|(_, c)| *c)
-                        .unwrap_or(0);
-                    if count >= self.config.max_same_reg_renames {
-                        self.stats.stalls.same_reg_limit += 1;
-                        break;
-                    }
+            let (inst, dest) = (front.rec.inst, front.rec.inst.dest());
+            let renamed = dest.map(|d| usize::from(self.renamed[d.flat_index()]));
+            let stall = if front.ready_cycle > self.cycle {
+                &mut stalls.frontend_empty
+            } else if renamed.is_some_and(|n| n >= self.same_reg_limit) {
+                &mut stalls.same_reg_limit
+            } else if self.iq_free.is_empty() || self.iq_occupancy >= self.config.resources.iq_size
+            {
+                &mut stalls.iq_full
+            } else if self.window.len() >= self.window_cap {
+                &mut stalls.rob_full
+            } else if inst.is_load() && self.load_queue.is_full() {
+                &mut stalls.lq_full
+            } else if inst.is_store() && self.store_queue.is_full() {
+                &mut stalls.sq_full
+            } else if self.rename_and_dispatch_front() {
+                if let Some(d) = dest {
+                    self.renamed[d.flat_index()] += 1;
                 }
-            }
-            if !self.structural_resources_available() {
+                continue;
+            } else {
                 break;
-            }
-            if !self.cpr_checkpoint_admission() {
-                break;
-            }
-            let dest = self.fetch_queue.front().and_then(|f| f.rec.inst.dest());
-            if !self.rename_and_dispatch_front() {
-                break;
-            }
-            if let Some(dest) = dest {
-                match self.rename_scratch.iter_mut().find(|(r, _)| *r == dest) {
-                    Some((_, c)) => *c += 1,
-                    None => self.rename_scratch.push((dest, 1)),
-                }
-            }
-            dispatched += 1;
-        }
-    }
-
-    /// Checks machine-independent structural resources for the instruction at
-    /// the head of the fetch queue, recording stall causes.
-    fn structural_resources_available(&mut self) -> bool {
-        let front = self
-            .fetch_queue
-            .front()
-            .expect("caller checked the fetch queue is non-empty");
-        let is_load = front.rec.inst.is_load();
-        let is_store = front.rec.inst.is_store();
-        let dest = front.rec.inst.dest();
-        if self.iq_free.is_empty() || self.iq_occupancy >= self.config.resources.iq_size {
-            self.stats.stalls.iq_full += 1;
-            return false;
-        }
-        if matches!(self.config.machine, MachineKind::Baseline)
-            && self.window.len() >= self.config.resources.rob_size
-        {
-            self.stats.stalls.rob_full += 1;
-            return false;
-        }
-        if matches!(self.config.machine, MachineKind::IdealMsp)
-            && self.window.len() >= IDEAL_WINDOW_CAP
-        {
-            self.stats.stalls.rob_full += 1;
-            return false;
-        }
-        if is_load && self.load_queue.is_full() {
-            self.stats.stalls.lq_full += 1;
-            return false;
-        }
-        if is_store && self.store_queue.is_full() {
-            self.stats.stalls.sq_full += 1;
-            return false;
-        }
-        // Register availability for the counted backends.
-        if let (Backend::Counted { int_free, fp_free }, Some(dest)) = (&self.backend, dest) {
-            let free = match dest.class() {
-                RegClass::Int => *int_free,
-                RegClass::Fp => *fp_free,
             };
-            if free == 0 {
-                self.stats.stalls.regs_full += 1;
-                return false;
-            }
+            *stall += 1;
+            break;
         }
-        true
     }
 
-    /// Handles CPR checkpoint allocation for the instruction at the head of
-    /// the fetch queue. Returns false if dispatch must stall this cycle.
-    fn cpr_checkpoint_admission(&mut self) -> bool {
-        if !matches!(self.config.machine, MachineKind::Cpr { .. }) {
-            return true;
-        }
-        let front = self
-            .fetch_queue
-            .front()
-            .expect("caller checked the fetch queue is non-empty");
-        let correct_path = front.oracle_idx.is_some();
-        let wants_checkpoint = correct_path
-            && ((front.rec.inst.is_conditional_branch() && front.low_confidence)
-                || front.rec.inst.is_indirect());
-        let forced = self.insts_since_checkpoint >= self.config.resources.max_insts_per_checkpoint;
-        if !wants_checkpoint && !forced {
-            return true;
-        }
-        if self.checkpoints.len() >= self.config.resources.checkpoints {
-            if forced {
-                self.stats.stalls.checkpoints_full += 1;
-                return false;
-            }
-            // Low-confidence branch but no free checkpoint: proceed without
-            // one (recovery will be imprecise).
-            return true;
-        }
-        if let Some(oracle_idx) = front.oracle_idx {
-            self.checkpoints.push_back(Checkpoint {
-                oracle_idx,
-                start_seq: self.next_seq,
-            });
-            self.stats.checkpoints_allocated += 1;
-            self.stats.activity.checkpoint_allocs += 1;
-            self.insts_since_checkpoint = 0;
-        }
-        true
-    }
-
-    /// Renames and dispatches the head of the fetch queue. Returns false on a
-    /// rename stall (MSP bank full).
+    /// Renames and dispatches the head of the fetch queue. Returns false
+    /// when the scheme stalls it.
     fn rename_and_dispatch_front(&mut self) -> bool {
         let front = self
             .fetch_queue
             .front()
-            .expect("caller checked the fetch queue is non-empty")
-            .clone();
+            .expect("caller checked the fetch queue is non-empty");
+        let slot = *self.iq_free.last().expect("IQ capacity checked earlier");
+        let Some(tag) = self
+            .scheme
+            .rename(front, self.next_seq, slot, &mut self.stats)
+        else {
+            return false;
+        };
+        let front = self.fetch_queue.pop_front().expect("front inspected above");
         let inst = front.rec.inst;
         let dest = inst.dest();
-
-        // Backend renaming (allocation-free: sources are gathered into a
-        // fixed two-element buffer and the returned mappings stay inline).
-        let (msp_state, msp_dest, msp_source_bits, msp_anchor_bit) = match &mut self.backend {
-            Backend::Msp { manager, .. } => {
-                let mut sources = [ArchReg::ZERO; 2];
-                let mut source_count = 0;
-                for src in inst.sources().take(2) {
-                    sources[source_count] = src;
-                    source_count += 1;
-                }
-                let request = RenameRequest::new(dest, &sources[..source_count]);
-                match manager.rename(&request) {
-                    Ok(renamed) => {
-                        self.stats.activity.sct_lookups += renamed.sct_lookups();
-                        let slot = *self.iq_free.last().expect("IQ capacity checked earlier");
-                        let mut source_bits = [None, None];
-                        for (bit, mapping) in
-                            source_bits.iter_mut().zip(renamed.sources.iter().flatten())
-                        {
-                            // When a non-allocating instruction's source
-                            // mapping aliases its state anchor, the single
-                            // RelIQ bit covers both roles and must survive
-                            // until the *later* release point — completion.
-                            // The anchor owns it; no source-side bit is
-                            // recorded, so issue will not clear it early and
-                            // release the state while the instruction is
-                            // still in flight (Section 3.4).
-                            if renamed.dest.is_none() && mapping.phys == renamed.anchor {
-                                continue;
-                            }
-                            manager.note_use(mapping.phys, slot);
-                            *bit = Some((mapping.phys, slot));
-                        }
-                        let anchor = if renamed.dest.is_none() {
-                            manager.note_use(renamed.anchor, slot);
-                            Some((renamed.anchor, slot))
-                        } else {
-                            None
-                        };
-                        (
-                            Some(renamed.state_id),
-                            renamed.dest.map(|d| d.phys),
-                            source_bits,
-                            anchor,
-                        )
-                    }
-                    Err(msp_state::RenameError::BankFull(reg)) => {
-                        self.stats.stalls.bank_full[reg.flat_index()] += 1;
-                        return false;
-                    }
-                }
-            }
-            Backend::Counted { int_free, fp_free } => {
-                if let Some(d) = dest {
-                    match d.class() {
-                        RegClass::Int => *int_free -= 1,
-                        RegClass::Fp => *fp_free -= 1,
-                    }
-                }
-                (None, None, [None, None], None)
-            }
-        };
-
-        let front = self.fetch_queue.pop_front().expect("front inspected above");
         self.stats.activity.rename_lookups += 1;
         let iq_slot = self.iq_free.pop().expect("IQ capacity checked earlier");
         let seq = self.next_seq;
         self.next_seq += 1;
         self.iq_occupancy += 1;
-        self.insts_since_checkpoint += 1;
 
         // Generic dependence tracking against the youngest in-flight writer.
         let mut deps = [None, None];
@@ -1603,9 +1071,6 @@ impl<'p> Simulator<'p> {
             if let Some(writer) = self.last_writer[src.flat_index()] {
                 if !self.is_seq_done(writer) {
                     deps[i] = Some(writer);
-                    if let Some(widx) = self.window_index(writer) {
-                        self.window[widx].pending_consumers += 1;
-                    }
                 }
             }
         }
@@ -1624,39 +1089,26 @@ impl<'p> Simulator<'p> {
         };
         let mut deps_pending = 0u8;
         let can_sleep = distinct_producers.iter().flatten().all(|producer| {
-            self.window_index(*producer)
+            window_index(&self.window, *producer)
                 .map(|pidx| (self.window[pidx].waiter_count as usize) < MAX_WAITERS)
                 .unwrap_or(false)
         });
         if can_sleep {
             for producer in distinct_producers.iter().flatten() {
-                let pidx = self
-                    .window_index(*producer)
-                    .expect("checked by can_sleep above");
+                let pidx =
+                    window_index(&self.window, *producer).expect("checked by can_sleep above");
                 let inst = &mut self.window[pidx];
                 inst.waiters[inst.waiter_count as usize] = seq;
                 inst.waiter_count += 1;
                 deps_pending += 1;
             }
         }
-        // Mark the previous writer of this destination as superseded (CPR
-        // aggressive release). Only correct-path supersessions count, so a
-        // squashed wrong path cannot strand the release accounting.
-        if let (Some(d), Some(_)) = (dest, front.oracle_idx) {
-            if let Some(prev) = self.last_writer[d.flat_index()] {
-                if let Some(pidx) = self.window_index(prev) {
-                    self.window[pidx].superseded_by = Some(seq);
-                    // An already-completed previous writer becomes a CPR
-                    // release candidate right away (writeback handles the
-                    // completes-after-supersede order).
-                    if self.window[pidx].status == Status::Done
-                        && matches!(self.config.machine, MachineKind::Cpr { .. })
-                    {
-                        self.cpr_release_pending.push(prev);
-                    }
-                }
-            }
-        }
+        // The previous writer of a correct-path destination is superseded;
+        // a squashed wrong path supersedes nothing.
+        let superseded = match (dest, front.oracle_idx) {
+            (Some(d), Some(_)) => self.last_writer[d.flat_index()],
+            _ => None,
+        };
         if let Some(d) = dest {
             self.last_writer[d.flat_index()] = Some(seq);
         }
@@ -1671,16 +1123,14 @@ impl<'p> Simulator<'p> {
             let addr = front
                 .rec
                 .mem_addr
-                .unwrap_or_else(|| Self::wrong_path_address(front.rec.pc));
-            // Every backend tags stores with the sequence number: commit
-            // drains up to a retirement boundary, which for the MSP is the
-            // oldest instruction still in the window (see `commit_msp`).
-            // Records carry no values, and a load reads only whether and how
-            // fast a store forwards, so every entry holds value 0.
-            let tag = seq;
+                .unwrap_or_else(|| wrong_path_address(front.rec.pc));
+            // Every scheme tags stores with the sequence number: commit
+            // drains up to a retirement boundary. Records carry no values,
+            // and a load reads only whether and how fast a store forwards,
+            // so every entry holds value 0.
             self.store_queue.insert(StoreQueueEntry {
                 seq,
-                tag,
+                tag: seq,
                 addr,
                 width: inst.width().bytes(),
                 value: 0,
@@ -1713,14 +1163,9 @@ impl<'p> Simulator<'p> {
             iq_slot: Some(iq_slot),
             dest,
             mispredicted: front.mispredicted,
-            msp_state,
-            msp_dest,
-            msp_source_bits,
-            msp_anchor_bit,
-            superseded_by: None,
-            pending_consumers: 0,
-            reg_released: false,
+            tag,
         });
+        self.scheme.dispatched(&mut self.window, superseded);
         if deps_pending == 0 {
             self.waiting.push(seq);
         }
@@ -1759,8 +1204,8 @@ impl<'p> Simulator<'p> {
             let icache_extra = if first_pc.is_none() {
                 first_pc = Some(rec.pc);
                 self.stats.activity.icache_accesses += 1;
-                let il1_hit = self.memory.config().il1.hit_latency;
-                let latency = self.memory.fetch_latency(rec.pc);
+                let il1_hit = self.warm.memory.config().il1.hit_latency;
+                let latency = self.warm.memory.fetch_latency(rec.pc);
                 if latency > il1_hit {
                     self.stats.activity.l2_accesses += 1;
                 }
@@ -1811,7 +1256,7 @@ impl<'p> Simulator<'p> {
             next_pc: pc.wrapping_add(4),
             taken: false,
             mem_addr: if inst.is_mem() {
-                Some(Self::wrong_path_address(pc))
+                Some(wrong_path_address(pc))
             } else {
                 None
             },
@@ -1850,8 +1295,8 @@ impl<'p> Simulator<'p> {
             .unwrap_or(false);
         if inst.is_conditional_branch() {
             self.stats.activity.predictor_lookups += 1;
-            let predicted_taken = self.predictor.predict(rec.pc);
-            let low_confidence = !self.confidence.is_high_confidence(rec.pc);
+            let predicted_taken = self.warm.predictor.predict(rec.pc);
+            let low_confidence = !self.warm.confidence.is_high_confidence(rec.pc);
             let predicted_target = if predicted_taken {
                 inst.target().expect("conditional branches carry a target")
             } else {
@@ -1866,8 +1311,9 @@ impl<'p> Simulator<'p> {
                     return (false, low_confidence, rec.next_pc);
                 }
                 self.stats.activity.predictor_lookups += 1;
-                self.predictor.update(rec.pc, actual);
-                self.confidence
+                self.warm.predictor.update(rec.pc, actual);
+                self.warm
+                    .confidence
                     .update(rec.pc, predicted_taken == actual, actual);
                 let mispredicted = predicted_taken != actual;
                 let next = if mispredicted {
@@ -1884,16 +1330,16 @@ impl<'p> Simulator<'p> {
             // the BTB.
             let predicted = if inst.is_return() {
                 self.stats.activity.ras_ops += 1;
-                match self.ras.pop() {
+                match self.warm.ras.pop() {
                     Some(target) => Some(target),
                     None => {
                         self.stats.activity.btb_lookups += 1;
-                        self.btb.lookup(rec.pc)
+                        self.warm.btb.lookup(rec.pc)
                     }
                 }
             } else {
                 self.stats.activity.btb_lookups += 1;
-                self.btb.lookup(rec.pc)
+                self.warm.btb.lookup(rec.pc)
             };
             if correct_path {
                 let actual = rec.next_pc;
@@ -1901,7 +1347,7 @@ impl<'p> Simulator<'p> {
                     return (false, true, actual);
                 }
                 self.stats.activity.btb_lookups += 1;
-                self.btb.update(rec.pc, actual);
+                self.warm.btb.update(rec.pc, actual);
                 let mispredicted = predicted != Some(actual);
                 let next = if mispredicted {
                     predicted.unwrap_or(fallthrough)
@@ -1915,7 +1361,7 @@ impl<'p> Simulator<'p> {
         // Direct jumps and calls: target known at fetch.
         if inst.is_call() {
             self.stats.activity.ras_ops += 1;
-            self.ras.push(fallthrough);
+            self.warm.ras.push(fallthrough);
         }
         let target = inst.target().expect("direct jumps and calls carry targets");
         let next = if correct_path { rec.next_pc } else { target };
@@ -2385,6 +1831,39 @@ mod tests {
             let mut recombined = prefix.clone();
             recombined.accumulate(&window);
             assert_eq!(recombined, full, "{machine:?} window fold");
+        }
+    }
+
+    /// Recovery's store-queue squash lives in the MSP component, and the
+    /// simulator runs it: with `skip-storequeue-squash` armed, the wrong-path
+    /// stores of vpr's mispredicted branches outlive recovery and the run
+    /// diverges from the disarmed one. In debug builds the store queue's
+    /// program-order check panics at the first store dispatched behind a
+    /// stale one, which is the same divergence caught earlier.
+    #[cfg(msp_check_mutation)]
+    #[test]
+    fn skipping_the_store_queue_squash_diverges_an_msp_run() {
+        let w = by_name("vpr", Variant::Original).unwrap();
+        let run = || run_machine(w.program(), MachineKind::msp(16), 5_000);
+        let clean = run();
+        assert!(!clean.truncated_by_watchdog);
+        assert!(clean.stats.mispredictions > 0 && clean.stats.executed.wrong_path > 0);
+        msp_state::mutation::set_active(Some("skip-storequeue-squash"));
+        let armed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+        msp_state::mutation::set_active(None);
+        match armed {
+            Ok(armed) => assert!(
+                armed.truncated_by_watchdog || armed.stats != clean.stats,
+                "the armed run matched the clean one"
+            ),
+            Err(panic) => {
+                let message = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(message.contains("program order"), "{message}");
+            }
         }
     }
 

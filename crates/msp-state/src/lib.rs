@@ -63,6 +63,7 @@ pub mod mutation;
 mod physreg;
 mod regfile;
 mod reliq;
+mod scheme;
 mod sct;
 mod stateid;
 
@@ -73,5 +74,6 @@ pub use manager::{
 pub use physreg::PhysReg;
 pub use regfile::PortArbiter;
 pub use reliq::RelIq;
+pub use scheme::{MspScheme, MspTag};
 pub use sct::{Sct, SctEntry, SctError};
 pub use stateid::{CompactStateId, StateCounter, StateId, StateIdRange};

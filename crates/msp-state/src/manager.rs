@@ -88,8 +88,8 @@ impl MspConfig {
 /// (if any) and up to two source logical registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RenameRequest {
-    dest: Option<ArchReg>,
-    sources: [Option<ArchReg>; 2],
+    pub(crate) dest: Option<ArchReg>,
+    pub(crate) sources: [Option<ArchReg>; 2],
 }
 
 impl RenameRequest {
