@@ -1,15 +1,18 @@
 //! The CPR comparison machine: a checkpoint stack over a counted physical
 //! register pool (Akkary et al.'s CPR, the paper's main baseline).
 //!
-//! Unlike the MSP machine, CPR has no distributed state structures to wrap —
-//! the simulator models it as counted pools plus a checkpoint stack inside
-//! the pipeline — so this model reproduces those semantics directly: a
-//! checkpoint (register-map + value snapshot) at every unresolved branch,
-//! in-order region commit that frees superseded registers, and rollback that
-//! restores the snapshot and returns every register allocated past it to the
-//! pool. The oracles check the counted-pool accounting (no leaked or
-//! double-freed registers), value restoration against a reference
-//! interpreter, and committed memory.
+//! Unlike the MSP machine, this one does not drive the simulator's
+//! component (`msp_pipeline`'s `Cpr`, which lives in the pipeline crate)
+//! but keeps its own model: a checkpoint (register-map + value snapshot) at
+//! every unresolved branch, in-order region commit that frees superseded
+//! registers, and rollback that restores the snapshot and returns every
+//! register allocated past it to the pool. The simulator's component has a
+//! known release-rule defect that driving it would expose: it frees a
+//! superseded register while a live checkpoint taken between the writer and
+//! its superseder still maps it. Fixing that changes CPR timing, so it is
+//! left to its own change (see ROADMAP.md). The oracles check the
+//! counted-pool accounting (no leaked or double-freed registers), value
+//! restoration against a reference interpreter, and committed memory.
 
 use crate::explore::Model;
 use crate::fingerprint::WordHasher;

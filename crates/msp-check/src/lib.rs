@@ -2,10 +2,12 @@
 //!
 //! The timing simulator's end-to-end tests exercise recovery along the
 //! schedules its cycle loop happens to produce; this crate instead drives
-//! the **real** state-management structures ([`msp_state::MspStateManager`]
-//! with its SCT banks, RelIQ matrices, LCS unit and StateId counter, plus
-//! the real [`msp_mem::SimpleStoreQueue`]) through *every* legal
-//! interleaving of dispatch, issue, completion, commit clocks and
+//! the simulator's own MSP state-management component
+//! ([`msp_state::MspScheme`]: the [`msp_state::MspStateManager`] with its
+//! SCT banks, RelIQ matrices, LCS unit and StateId counter, plus the
+//! use-bit and anchor rule, recovery, the commit clock and the drain
+//! boundary) over the real [`msp_mem::SimpleStoreQueue`] through *every*
+//! legal interleaving of dispatch, issue, completion, commit clocks and
 //! mispredict-triggered recoveries that a deliberately tiny machine
 //! geometry admits, checking three oracle families at every step:
 //!
@@ -42,7 +44,9 @@ pub use machine::{default_program, CheckConfig, MspEvent, MspMachine, Op};
 /// Every seeded recovery defect of the mutation-kill matrix, with the site
 /// it lives at. Each one is compiled in only under
 /// `RUSTFLAGS="--cfg msp_check_mutation"` and armed per thread via
-/// [`arm_mutation`]:
+/// [`arm_mutation`]. Six sites are msp-state code the timing simulator runs;
+/// `leak-cpr-checkpoint` sits in the checker's own CPR model (see
+/// [`CprMachine`]):
 ///
 /// | name | site | defect |
 /// |---|---|---|
@@ -52,7 +56,7 @@ pub use machine::{default_program, CheckConfig, MspEvent, MspMachine, Op};
 /// | `sct-recover-keep-youngest` | `Sct::recover` | recovery stops before releasing all squashed renamings |
 /// | `counter-recover-off-by-one` | `StateCounter::recover_to` | the counter recovers one state too young |
 /// | `leak-cpr-checkpoint` | `CprMachine::apply_mispredict` | rollback forgets to return one region's registers to the pool |
-/// | `skip-storequeue-squash` | `MspMachine::apply_mispredict` | recovery forgets to squash wrong-path stores |
+/// | `skip-storequeue-squash` | `MspScheme::recover` | recovery forgets to squash wrong-path stores |
 pub const MUTATIONS: &[&str] = &[
     "skip-reliq-clear",
     "sct-release-off-by-one",

@@ -665,10 +665,12 @@ impl MspMachine {
             }
         }
         let mut released = Vec::new();
+        let stores = &mut self.stores;
+        let squash_stores = || {
+            stores.squash_younger(branch.seq);
+        };
         self.scheme
-            .recover(&branch.tag, branch.seq, &mut self.stores, |phys| {
-                released.push(phys)
-            });
+            .recover(&branch.tag, squash_stores, |phys| released.push(phys));
         for phys in released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("recovery released unledgered register {phys}"));

@@ -51,14 +51,9 @@ pub(crate) trait Scheme: Sized {
     /// The distinct register banks an issuing instruction reads, or `None`
     /// on a read-port conflict. Logical registers by default.
     fn read(&mut self, _tag: &Self::Tag, inst: &Instruction) -> Option<[Option<usize>; 2]> {
-        let mut banks = [None, None];
-        for (slot, src) in inst.sources().take(2).enumerate() {
-            let bank = src.flat_index();
-            if slot == 0 || banks[0] != Some(bank) {
-                banks[slot] = Some(bank);
-            }
-        }
-        Some(banks)
+        let mut banks = inst.sources().map(|src| src.flat_index());
+        let first = banks.next();
+        Some([first, banks.next().filter(|bank| Some(*bank) != first)])
     }
 
     /// Issues the instruction at window index `idx`; returns whether it
@@ -131,10 +126,7 @@ impl Pools {
     }
 
     fn class(reg: ArchReg) -> usize {
-        match reg.class() {
-            RegClass::Int => 0,
-            RegClass::Fp => 1,
-        }
+        usize::from(reg.class() == RegClass::Fp)
     }
 
     /// Whether `dest` can get a register; counts the stall when not.
@@ -486,7 +478,10 @@ impl Scheme for MspScheme {
     }
 
     fn recover(&mut self, branch: &MspTag, squash_from: u64, stores: &mut dyn StoreQueue) {
-        MspScheme::recover(self, branch, squash_from - 1, stores, |_| {});
+        let squash_stores = || {
+            stores.squash_younger(squash_from - 1);
+        };
+        MspScheme::recover(self, branch, squash_stores, |_| {});
     }
 
     fn commit(

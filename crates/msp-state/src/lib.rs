@@ -37,6 +37,12 @@
 //!   per-cycle limits of Section 3.3 (rename width, at most two renamings of
 //!   one logical register per cycle) are enforced by the timing simulator's
 //!   dispatch stage.
+//! * [`MspScheme`] — the MSP's state-management component: the manager and
+//!   the port arbiter, with the rules that tie them to in-flight
+//!   instructions (use bits and anchors, recovery, the commit clock and the
+//!   store drain boundary). The timing simulator drives it as one of its
+//!   three components (the Baseline's and CPR's live in `msp-pipeline`), and
+//!   the `msp-check` model checker drives the same code.
 //!
 //! # Quick example
 //!

@@ -12,7 +12,6 @@ use crate::physreg::PhysReg;
 use crate::regfile::PortArbiter;
 use crate::stateid::StateId;
 use msp_isa::ArchReg;
-use msp_mem::StoreQueue;
 
 /// What the MSP keeps for one in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +106,8 @@ impl MspScheme {
     /// requesting this cycle's read port of each. `None` is a port conflict:
     /// the instruction retries next cycle.
     pub fn read(&mut self, tag: &MspTag) -> Option<[Option<usize>; 2]> {
-        let first = tag.uses[0].map(|phys| phys.bank());
-        let second = tag.uses[1]
-            .map(|phys| phys.bank())
-            .filter(|bank| Some(*bank) != first);
+        let [first, second] = tag.uses.map(|phys| phys.map(|p| p.bank()));
+        let second = second.filter(|bank| Some(*bank) != first);
         let mut granted = true;
         if let Some(arbiter) = &mut self.arbiter {
             for bank in [first, second].into_iter().flatten() {
@@ -152,25 +149,23 @@ impl MspScheme {
         self.manager.clear_iq_slot(slot);
     }
 
-    /// Precise recovery once the branch `branch_seq` mispredicted and every
-    /// younger instruction was squashed: younger stores leave `stores`, and
-    /// the manager rewinds to the branch's state, releasing to `on_release`.
-    pub fn recover<Q: StoreQueue + ?Sized>(
+    /// Precise recovery once the branch with `branch` mispredicted and every
+    /// younger instruction was squashed: `squash_stores` removes the younger
+    /// stores from the store queue, and the manager rewinds to the branch's
+    /// state, releasing to `on_release`.
+    pub fn recover(
         &mut self,
         branch: &MspTag,
-        branch_seq: u64,
-        stores: &mut Q,
+        squash_stores: impl FnOnce(),
         on_release: impl FnMut(PhysReg),
     ) {
-        #[allow(unused_mut)]
-        let mut squash_stores = true;
         #[cfg(msp_check_mutation)]
-        if crate::mutation::is_active("skip-storequeue-squash") {
-            squash_stores = false;
-        }
-        if squash_stores {
-            stores.squash_younger(branch_seq);
-        }
+        let squash_stores = || {
+            if !crate::mutation::is_active("skip-storequeue-squash") {
+                squash_stores();
+            }
+        };
+        squash_stores();
         self.manager.recover(branch.state, on_release);
     }
 
