@@ -165,22 +165,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Applies `event`, converting both oracle failures and panics raised inside
-/// the structures under test into an error message.
-fn apply_checked<M: Model>(state: &mut M, event: &M::Event) -> Result<(), String> {
-    #[cfg(msp_check_mutation)]
-    msp_state::mutation::rearm();
-    match with_silenced_panics(|| catch_unwind(AssertUnwindSafe(|| state.apply(event)))) {
+/// Runs an oracle, converting both its failure and a panic raised inside the
+/// structures under test into an error message.
+fn checked(oracle: impl FnOnce() -> Result<(), String>) -> Result<(), String> {
+    match with_silenced_panics(|| catch_unwind(AssertUnwindSafe(oracle))) {
         Ok(result) => result,
         Err(payload) => Err(format!("panic: {}", panic_message(payload))),
     }
 }
 
-fn check_terminal_checked<M: Model>(state: &M) -> Result<(), String> {
-    match with_silenced_panics(|| catch_unwind(AssertUnwindSafe(|| state.check_terminal()))) {
-        Ok(result) => result,
-        Err(payload) => Err(format!("panic: {}", panic_message(payload))),
-    }
+/// Applies `event` with its per-event oracles ([`checked`]).
+fn apply_checked<M: Model>(state: &mut M, event: &M::Event) -> Result<(), String> {
+    #[cfg(msp_check_mutation)]
+    msp_state::mutation::rearm();
+    checked(|| state.apply(event))
 }
 
 /// Re-runs a violating event path from the initial state and renders a
@@ -325,7 +323,7 @@ pub fn explore<M: Model>(initial: M, limits: ExploreLimits) -> CheckReport {
         if !leaves {
             terminal_states += 1;
             let state = state.expect("a terminal state is never moved out");
-            if let Err(message) = check_terminal_checked(&state) {
+            if let Err(message) = checked(|| state.check_terminal()) {
                 let path = path_to(&arena, node);
                 let cx = render_counterexample(&initial, &path, &message, true);
                 return incomplete(&visited, terminal_states, max_depth, Some(cx));

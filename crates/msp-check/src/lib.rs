@@ -50,7 +50,7 @@ pub use machine::{default_program, CheckConfig, MspEvent, MspMachine, Op};
 ///
 /// | name | site | defect |
 /// |---|---|---|
-/// | `skip-reliq-clear` | `MspStateManager::clear_iq_slot` | the squash path forgets to clear one squashed slot's RelIQ column |
+/// | `skip-reliq-clear` | `MspScheme::squash` | the squash path forgets to clear one squashed slot's RelIQ column |
 /// | `sct-release-off-by-one` | `Sct::release_committed` | commit keeps two committed entries instead of one |
 /// | `stale-lcs-anchor` | `MspStateManager::recover` | recovery forgets to flush the LCS propagation pipeline |
 /// | `sct-recover-keep-youngest` | `Sct::recover` | recovery stops before releasing all squashed renamings |

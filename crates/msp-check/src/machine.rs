@@ -189,11 +189,11 @@ enum Status {
 
 /// One dispatched (and not squashed) instruction. Committed instructions are
 /// kept — programs are tiny — so the reference interpreter can always replay
-/// the full surviving history.
+/// the full surviving history, and an instruction's sequence number is its
+/// index.
 #[derive(Debug, Clone, Copy)]
 struct Flight {
     pc: usize,
-    seq: u64,
     /// What the MSP component keeps for the instruction.
     tag: MspTag,
     /// Source registers in program order, `None`-padded.
@@ -303,7 +303,6 @@ pub struct MspMachine {
     stores: SimpleStoreQueue,
     insts: Vec<Flight>,
     next_pc: usize,
-    next_seq: u64,
     /// One bit per free IQ slot (checker-side mirror of the simulator's free
     /// list; the manager itself has no notion of slot occupancy).
     iq_free: u64,
@@ -360,7 +359,6 @@ impl MspMachine {
             stores,
             insts: Vec::new(),
             next_pc: 0,
-            next_seq: 0,
             ledger,
             committed_mem: BTreeMap::new(),
             drained: Vec::new(),
@@ -374,11 +372,7 @@ impl MspMachine {
     }
 
     fn flight(&self, seq: u64) -> Option<&Flight> {
-        self.insts.iter().find(|i| i.seq == seq)
-    }
-
-    fn flight_mut(&mut self, seq: u64) -> Option<usize> {
-        self.insts.iter().position(|i| i.seq == seq)
+        self.insts.get(seq as usize)
     }
 
     /// Replays the surviving instruction history on an architectural
@@ -387,13 +381,13 @@ impl MspMachine {
     /// branch condition); returns the final register values by bank.
     fn reference_replay(
         &self,
-        mut visit: impl FnMut(&Flight, u64) -> Result<(), String>,
+        mut visit: impl FnMut(u64, &Flight, u64) -> Result<(), String>,
     ) -> Result<[u64; MAX_SET], String> {
         let mut regs = [0; MAX_SET];
         for (bank, reg) in regs.iter_mut().enumerate().take(self.config.banks) {
             *reg = initial_value(bank);
         }
-        for flight in &self.insts {
+        for (seq, flight) in (0..).zip(&self.insts) {
             let value = match self.config.program[flight.pc] {
                 Op::Alu { dest, srcs } => {
                     let v = mix(flight.pc, srcs.iter().flatten().map(|&s| regs[s]));
@@ -402,7 +396,7 @@ impl MspMachine {
                 }
                 Op::Store { src, .. } | Op::Branch { src } => regs[src],
             };
-            visit(flight, value)?;
+            visit(seq, flight, value)?;
         }
         Ok(regs)
     }
@@ -413,13 +407,17 @@ impl MspMachine {
         self.manager().verify_occupancy()?;
 
         // (b) a freed IQ slot must have no residual RelIQ bits anywhere —
-        // this is exactly what a skipped squash-path `clear_iq_slot` leaks.
+        // this is exactly what a skipped squash-path clear leaks.
         for slot in bits(self.iq_free) {
-            if !self.manager().slot_uses(slot).is_empty() {
-                return Err(format!(
-                    "freed IQ slot {slot} still holds RelIQ use bits {:?}",
-                    self.manager().slot_uses(slot)
-                ));
+            for bank in 0..self.config.banks {
+                for row in 0..self.config.regs_per_bank {
+                    if self.manager().reliq(bank).is_set(row, slot) {
+                        let phys = PhysReg::new(bank, row);
+                        return Err(format!(
+                            "freed IQ slot {slot} still holds a use bit of {phys}"
+                        ));
+                    }
+                }
             }
         }
         let held = self
@@ -457,12 +455,12 @@ impl MspMachine {
         // (a) every surviving instruction's dispatched value must equal the
         // committed-path reference interpreter's value for it, and every
         // bank's current renaming must ledger the reference register value.
-        let regs = self.reference_replay(|flight, want| {
+        let regs = self.reference_replay(|seq, flight, want| {
             if flight.value != want {
                 return Err(format!(
-                    "seq {} (pc {}) dispatched with value {:#x}, reference says {want:#x} \
+                    "seq {seq} (pc {}) dispatched with value {:#x}, reference says {want:#x} \
                      — a source renaming resolved to the wrong physical register",
-                    flight.seq, flight.pc, flight.value
+                    flight.pc, flight.value
                 ));
             }
             Ok(())
@@ -518,7 +516,7 @@ impl MspMachine {
             let ok = matches!(self.config.program[flight.pc], Op::Store { addr, .. }
                 if addr == entry.addr)
                 && entry.value == flight.value
-                && entry.tag == flight.seq;
+                && entry.tag == entry.seq;
             if !ok {
                 return Err(format!(
                     "store queue entry seq {} does not match its instruction",
@@ -549,7 +547,7 @@ impl MspMachine {
     }
 
     fn apply_dispatch(&mut self) -> Result<(), String> {
-        let pc = self.next_pc;
+        let (pc, seq) = (self.next_pc, self.insts.len() as u64);
         let op = self.config.program[pc];
         let slot = bits(self.iq_free)
             .next()
@@ -583,8 +581,8 @@ impl MspMachine {
             Op::Store { addr, .. } => {
                 let v = src_values[0];
                 if !self.stores.insert(StoreQueueEntry {
-                    seq: self.next_seq,
-                    tag: self.next_seq,
+                    seq,
+                    tag: seq,
                     addr,
                     width: 8,
                     value: v,
@@ -598,23 +596,21 @@ impl MspMachine {
         self.iq_free &= !(1 << slot);
         self.insts.push(Flight {
             pc,
-            seq: self.next_seq,
             tag,
             srcs,
             iq_slot: Some(slot),
             status: Status::Waiting,
             value,
         });
-        self.next_seq += 1;
         self.next_pc += 1;
         Ok(())
     }
 
     fn apply_issue(&mut self, seq: u64) -> Result<(), String> {
-        let idx = self
-            .flight_mut(seq)
+        let flight = self
+            .insts
+            .get_mut(seq as usize)
             .ok_or_else(|| format!("issue of unknown seq {seq}"))?;
-        let flight = &mut self.insts[idx];
         if flight.status != Status::Waiting {
             return Err(format!("issue of non-waiting seq {seq}"));
         }
@@ -632,10 +628,10 @@ impl MspMachine {
     }
 
     fn apply_complete(&mut self, seq: u64) -> Result<(), String> {
-        let idx = self
-            .flight_mut(seq)
+        let flight = self
+            .insts
+            .get_mut(seq as usize)
             .ok_or_else(|| format!("complete of unknown seq {seq}"))?;
-        let flight = &mut self.insts[idx];
         if flight.status != Status::Executing {
             return Err(format!("complete of non-executing seq {seq}"));
         }
@@ -651,23 +647,20 @@ impl MspMachine {
         // The branch itself completes (resolves) while detecting the
         // misprediction, exactly like the simulator's writeback path.
         self.apply_complete(seq)?;
-        let idx = self
-            .flight_mut(seq)
-            .ok_or_else(|| format!("mispredict of unknown seq {seq}"))?;
-        let branch = self.insts[idx];
+        let branch = self.insts[seq as usize];
         self.mispredicted |= 1 << branch.pc;
         // Squash the younger instructions, youngest first, then recover.
-        while self.insts.len() > idx + 1 {
+        while self.insts.len() as u64 > seq + 1 {
             let squashed = self.insts.pop().expect("length checked");
             if let Some(slot) = squashed.iq_slot {
-                self.scheme.squash(slot);
+                self.scheme.squash(&squashed.tag);
                 self.iq_free |= 1 << slot;
             }
         }
         let mut released = Vec::new();
         let stores = &mut self.stores;
         let squash_stores = || {
-            stores.squash_younger(branch.seq);
+            stores.squash_younger(seq);
         };
         self.scheme
             .recover(&branch.tag, squash_stores, |phys| released.push(phys));
@@ -680,7 +673,6 @@ impl MspMachine {
         // builds of the checker.
         self.scheme.manager().verify_recovery(branch.tag.state)?;
         // Redirect the front end: re-fetch the correct path.
-        self.next_seq = branch.seq + 1;
         self.next_pc = branch.pc + 1;
         Ok(())
     }
@@ -689,13 +681,12 @@ impl MspMachine {
         // Committed instructions stay in `insts` and retire again at every
         // clock: their states stay below the LCS.
         let mut released = Vec::new();
-        let oldest_first = self
-            .insts
-            .iter()
-            .map(|f| (f.seq, f.tag.state, f.status == Status::Done));
+        let next_seq = self.insts.len() as u64;
+        let window = (0..).zip(&self.insts);
+        let oldest_first = window.map(|(seq, f)| (seq, f.tag.state, f.status == Status::Done));
         let (_, boundary) = self
             .scheme
-            .commit(oldest_first, self.next_seq, |phys| released.push(phys));
+            .commit(oldest_first, next_seq, |phys| released.push(phys));
         for phys in released {
             if self.ledger.remove(phys).is_none() {
                 return Err(format!("commit released unledgered register {phys}"));
@@ -737,7 +728,7 @@ impl Model for MspMachine {
         if self.dispatch_enabled() {
             events.push(MspEvent::Dispatch);
         }
-        for flight in &self.insts {
+        for (seq, flight) in (0..).zip(&self.insts) {
             match flight.status {
                 Status::Waiting => {
                     if flight
@@ -746,14 +737,14 @@ impl Model for MspMachine {
                         .flatten()
                         .all(|&s| self.manager().is_ready(s))
                     {
-                        events.push(MspEvent::Issue { seq: flight.seq });
+                        events.push(MspEvent::Issue { seq });
                     }
                 }
                 Status::Executing => {
-                    events.push(MspEvent::Complete { seq: flight.seq });
+                    events.push(MspEvent::Complete { seq });
                     let is_branch = matches!(self.config.program[flight.pc], Op::Branch { .. });
                     if is_branch && self.mispredicted >> flight.pc & 1 == 0 {
-                        events.push(MspEvent::Mispredict { seq: flight.seq });
+                        events.push(MspEvent::Mispredict { seq });
                     }
                 }
                 Status::Done => {}
@@ -781,19 +772,10 @@ impl Model for MspMachine {
         let mut hasher = WordHasher::default();
         self.manager().hash_canonical(&mut hasher);
         self.next_pc.hash(&mut hasher);
-        self.next_seq.hash(&mut hasher);
         self.iq_free.hash(&mut hasher);
         self.insts.len().hash(&mut hasher);
         for f in &self.insts {
-            (
-                f.pc,
-                f.seq,
-                f.tag.state.as_u64(),
-                f.status,
-                f.iq_slot,
-                f.value,
-            )
-                .hash(&mut hasher);
+            (f.pc, f.tag.state.as_u64(), f.status, f.iq_slot, f.value).hash(&mut hasher);
             f.tag.dest.hash(&mut hasher);
             f.tag.anchor.hash(&mut hasher);
         }
@@ -813,8 +795,8 @@ impl Model for MspMachine {
                 self.next_pc
             ));
         }
-        if let Some(f) = self.insts.iter().find(|f| f.status != Status::Done) {
-            return Err(format!("terminal state with unfinished seq {}", f.seq));
+        if let Some(seq) = self.insts.iter().position(|f| f.status != Status::Done) {
+            return Err(format!("terminal state with unfinished seq {seq}"));
         }
         // Quiescence: every bank must have released down to exactly one
         // (ready) architectural mapping with a clean RelIQ row, the LCS must
@@ -874,7 +856,7 @@ impl Model for MspMachine {
             ));
         }
         let mut mem = BTreeMap::new();
-        self.reference_replay(|flight, value| {
+        self.reference_replay(|_, flight, value| {
             if let Op::Store { addr, .. } = self.config.program[flight.pc] {
                 mem.insert(addr, value);
             }

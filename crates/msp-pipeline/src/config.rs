@@ -50,11 +50,6 @@ impl MachineKind {
             MachineKind::IdealMsp => "ideal MSP".to_string(),
         }
     }
-
-    /// Whether this machine uses the MSP state-management mechanism.
-    pub fn is_msp(&self) -> bool {
-        matches!(self, MachineKind::Msp { .. } | MachineKind::IdealMsp)
-    }
 }
 
 impl std::fmt::Display for MachineKind {
@@ -336,8 +331,6 @@ mod tests {
         );
         assert_eq!(MachineKind::msp(16).label(), "16-SP");
         assert_eq!(MachineKind::IdealMsp.label(), "ideal MSP");
-        assert!(MachineKind::IdealMsp.is_msp());
-        assert!(!MachineKind::Baseline.is_msp());
         assert_eq!(MachineKind::msp(8).to_string(), "8-SP");
     }
 

@@ -472,8 +472,8 @@ impl Scheme for MspScheme {
 
     /// A squashed instruction that still holds its IQ slot clears it.
     fn release(&mut self, inst: &InFlight<MspTag>) {
-        if let Some(slot) = inst.iq_slot {
-            MspScheme::squash(self, slot);
+        if inst.iq_slot.is_some() {
+            MspScheme::squash(self, &inst.tag);
         }
     }
 

@@ -258,7 +258,6 @@ pub struct Simulator<'p> {
 trait Engine {
     fn run(&mut self, max_instructions: u64) -> SimResult;
     fn step_cycle(&mut self);
-    fn config(&self) -> &SimConfig;
     fn stats(&self) -> &SimStats;
     fn measurement_start(&self) -> u64;
 }
@@ -437,11 +436,6 @@ impl<'p> Simulator<'p> {
         self.core.measurement_start()
     }
 
-    /// The configuration being simulated.
-    pub fn config(&self) -> &SimConfig {
-        self.core.config()
-    }
-
     /// Statistics collected so far.
     pub fn stats(&self) -> &SimStats {
         self.core.stats()
@@ -552,10 +546,6 @@ impl<S: Scheme> Engine for Core<'_, S> {
         self.issue_stage();
         self.dispatch_stage();
         self.fetch_stage();
-    }
-
-    fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     fn stats(&self) -> &SimStats {
@@ -1175,15 +1165,13 @@ impl<'p, S: Scheme> Core<'p, S> {
     // ---------------------------------------------------------------- fetch
 
     fn fetch_stage(&mut self) {
-        if self.cycle < self.fetch_stalled_until {
-            return;
-        }
-        // Bound the in-flight front end (fetch/decode buffer).
-        if self.fetch_queue.len() >= 4 * self.config.frontend.fetch_width {
+        // A redirect stalls fetch, and the fetch/decode buffer is bounded.
+        if self.cycle < self.fetch_stalled_until
+            || self.fetch_queue.len() >= 4 * self.config.frontend.fetch_width
+        {
             return;
         }
         let mut fetched = 0;
-        let mut first_pc: Option<u64> = None;
         while fetched < self.config.frontend.fetch_width {
             let (rec, oracle_idx) = match self.wrong_path_pc {
                 Some(pc) => (self.synthesize_wrong_path(pc), None),
@@ -1201,8 +1189,7 @@ impl<'p, S: Scheme> Core<'p, S> {
                 }
             };
             // Charge the I-cache once per fetch cycle, for the first access.
-            let icache_extra = if first_pc.is_none() {
-                first_pc = Some(rec.pc);
+            let icache_extra = if fetched == 0 {
                 self.stats.activity.icache_accesses += 1;
                 let il1_hit = self.warm.memory.config().il1.hit_latency;
                 let latency = self.warm.memory.fetch_latency(rec.pc);
@@ -1226,19 +1213,13 @@ impl<'p, S: Scheme> Core<'p, S> {
             });
             fetched += 1;
 
-            // Advance the fetch stream.
-            match self.wrong_path_pc {
-                Some(_) => {
-                    self.wrong_path_pc = Some(predicted_next_pc);
-                }
-                None => {
-                    self.next_oracle_idx += 1;
-                    if mispredicted {
-                        // Subsequent fetch goes down the predicted (wrong)
-                        // path until the branch resolves.
-                        self.wrong_path_pc = Some(predicted_next_pc);
-                    }
-                }
+            // Advance the fetch stream. After a misprediction, fetch goes
+            // down the predicted (wrong) path until the branch resolves.
+            if oracle_idx.is_some() {
+                self.next_oracle_idx += 1;
+            }
+            if oracle_idx.is_none() || mispredicted {
+                self.wrong_path_pc = Some(predicted_next_pc);
             }
             // A predicted-taken control transfer ends the fetch block.
             if rec.inst.is_control() && predicted_next_pc != rec.pc.wrapping_add(4) {
@@ -1255,11 +1236,7 @@ impl<'p, S: Scheme> Core<'p, S> {
             inst,
             next_pc: pc.wrapping_add(4),
             taken: false,
-            mem_addr: if inst.is_mem() {
-                Some(wrong_path_address(pc))
-            } else {
-                None
-            },
+            mem_addr: inst.is_mem().then(|| wrong_path_address(pc)),
             halted: false,
         }
     }
@@ -1267,105 +1244,77 @@ impl<'p, S: Scheme> Core<'p, S> {
     /// Produces the branch prediction for a fetched instruction. Returns
     /// `(mispredicted, low_confidence, predicted_next_pc)`.
     fn predict(&mut self, rec: &ExecutedInst, oracle_idx: Option<u64>) -> (bool, bool, u64) {
-        let inst = rec.inst;
-        let correct_path = oracle_idx.is_some();
-        let fallthrough = rec.pc.wrapping_add(4);
-        if !inst.is_control() {
-            return (
-                false,
-                false,
-                if correct_path {
-                    rec.next_pc
-                } else {
-                    fallthrough
-                },
-            );
-        }
-        // A branch whose outcome was already resolved by a previous execution
-        // (CPR re-fetch after rollback) does not re-mispredict: the machine
-        // reuses the recorded outcome.
-        let already_resolved = oracle_idx
-            .map(|idx| {
-                debug_assert!(idx >= self.oracle_origin, "fetch never precedes the origin");
-                self.executed_once
-                    .get((idx - self.oracle_origin) as usize)
-                    .copied()
-                    .unwrap_or(false)
-            })
-            .unwrap_or(false);
-        if inst.is_conditional_branch() {
-            self.stats.activity.predictor_lookups += 1;
-            let predicted_taken = self.warm.predictor.predict(rec.pc);
-            let low_confidence = !self.warm.confidence.is_high_confidence(rec.pc);
-            let predicted_target = if predicted_taken {
-                inst.target().expect("conditional branches carry a target")
+        let (inst, pc) = (rec.inst, rec.pc);
+        let fallthrough = pc.wrapping_add(4);
+        let (activity, warm) = (&mut self.stats.activity, &mut self.warm);
+        // The predicted next PC and its confidence, and a conditional
+        // branch's predicted direction.
+        let (predicted, low_confidence, taken) = if inst.is_conditional_branch() {
+            activity.predictor_lookups += 1;
+            let taken = warm.predictor.predict(pc);
+            let target = inst.target().expect("conditional branches carry a target");
+            let low_confidence = !warm.confidence.is_high_confidence(pc);
+            let next = if taken { target } else { fallthrough };
+            (Some(next), low_confidence, Some(taken))
+        } else if inst.is_indirect() {
+            // Returns consult the return stack first, other indirect jumps
+            // the BTB.
+            let from_ras = if inst.is_return() {
+                activity.ras_ops += 1;
+                warm.ras.pop()
+            } else {
+                None
+            };
+            let predicted = from_ras.or_else(|| {
+                activity.btb_lookups += 1;
+                warm.btb.lookup(pc)
+            });
+            (predicted, true, None)
+        } else {
+            // Other instructions fall through; direct jumps and calls know
+            // their target at fetch.
+            if inst.is_call() {
+                activity.ras_ops += 1;
+                warm.ras.push(fallthrough);
+            }
+            let next = if inst.is_control() {
+                inst.target().expect("direct jumps and calls carry targets")
             } else {
                 fallthrough
             };
-            if correct_path {
-                let actual = rec.taken;
-                if already_resolved {
-                    // Re-fetched after a checkpoint rollback: the outcome is
-                    // known, and the predictor was already trained by the
-                    // first execution.
-                    return (false, low_confidence, rec.next_pc);
-                }
-                self.stats.activity.predictor_lookups += 1;
-                self.warm.predictor.update(rec.pc, actual);
-                self.warm
-                    .confidence
-                    .update(rec.pc, predicted_taken == actual, actual);
-                let mispredicted = predicted_taken != actual;
-                let next = if mispredicted {
-                    predicted_target
-                } else {
-                    rec.next_pc
-                };
-                return (mispredicted, low_confidence, next);
+            return (false, false, oracle_idx.map_or(next, |_| rec.next_pc));
+        };
+        let Some(idx) = oracle_idx else {
+            return (false, low_confidence, predicted.unwrap_or(fallthrough));
+        };
+        // A branch whose outcome was already resolved by a previous execution
+        // (CPR re-fetch after rollback) does not re-mispredict: the machine
+        // reuses the recorded outcome, and the first execution trained the
+        // predictor.
+        debug_assert!(idx >= self.oracle_origin, "fetch never precedes the origin");
+        let offset = (idx - self.oracle_origin) as usize;
+        if self.executed_once.get(offset).copied().unwrap_or(false) {
+            return (false, low_confidence, rec.next_pc);
+        }
+        let mispredicted = match taken {
+            Some(taken) => {
+                activity.predictor_lookups += 1;
+                warm.predictor.update(pc, rec.taken);
+                warm.confidence.update(pc, taken == rec.taken, rec.taken);
+                taken != rec.taken
             }
-            return (false, low_confidence, predicted_target);
-        }
-        if inst.is_indirect() {
-            // Returns consult the return stack first, other indirect jumps
-            // the BTB.
-            let predicted = if inst.is_return() {
-                self.stats.activity.ras_ops += 1;
-                match self.warm.ras.pop() {
-                    Some(target) => Some(target),
-                    None => {
-                        self.stats.activity.btb_lookups += 1;
-                        self.warm.btb.lookup(rec.pc)
-                    }
-                }
-            } else {
-                self.stats.activity.btb_lookups += 1;
-                self.warm.btb.lookup(rec.pc)
-            };
-            if correct_path {
-                let actual = rec.next_pc;
-                if already_resolved {
-                    return (false, true, actual);
-                }
-                self.stats.activity.btb_lookups += 1;
-                self.warm.btb.update(rec.pc, actual);
-                let mispredicted = predicted != Some(actual);
-                let next = if mispredicted {
-                    predicted.unwrap_or(fallthrough)
-                } else {
-                    actual
-                };
-                return (mispredicted, true, next);
+            None => {
+                activity.btb_lookups += 1;
+                warm.btb.update(pc, rec.next_pc);
+                predicted != Some(rec.next_pc)
             }
-            return (false, true, predicted.unwrap_or(fallthrough));
-        }
-        // Direct jumps and calls: target known at fetch.
-        if inst.is_call() {
-            self.stats.activity.ras_ops += 1;
-            self.warm.ras.push(fallthrough);
-        }
-        let target = inst.target().expect("direct jumps and calls carry targets");
-        let next = if correct_path { rec.next_pc } else { target };
-        (false, false, next)
+        };
+        let next = if mispredicted {
+            predicted.unwrap_or(fallthrough)
+        } else {
+            rec.next_pc
+        };
+        (mispredicted, low_confidence, next)
     }
 }
 
@@ -1786,7 +1735,7 @@ mod tests {
             assert!(a.dcache_accesses > 0, "{machine:?} dcache");
             assert!(a.predictor_lookups > 0, "{machine:?} predictor");
             assert!(a.lq_searches > 0 && a.sq_searches > 0, "{machine:?} queues");
-            if machine.is_msp() {
+            if matches!(machine, MachineKind::Msp { .. } | MachineKind::IdealMsp) {
                 assert!(a.sct_lookups > 0, "{machine:?} SCT");
                 assert!(a.lcs_propagations > 0, "{machine:?} LCS");
                 assert_eq!(a.checkpoint_allocs, 0, "{machine:?} no checkpoints");
@@ -1876,6 +1825,5 @@ mod tests {
         let result = sim.run(1_000);
         assert_eq!(result.machine, "16-SP");
         assert_eq!(result.predictor, "TAGE");
-        assert_eq!(sim.config().machine, MachineKind::msp(16));
     }
 }

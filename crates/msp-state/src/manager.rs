@@ -109,16 +109,6 @@ impl RenameRequest {
         }
         RenameRequest { dest, sources: s }
     }
-
-    /// The destination logical register, if the instruction allocates one.
-    pub fn dest(&self) -> Option<ArchReg> {
-        self.dest
-    }
-
-    /// The source logical registers.
-    pub fn sources(&self) -> impl Iterator<Item = ArchReg> + '_ {
-        self.sources.iter().flatten().copied()
-    }
 }
 
 /// The physical register a source operand resolves to.
@@ -194,12 +184,6 @@ pub struct MspStateManager {
     config: MspConfig,
     scts: Vec<Sct>,
     reliqs: Vec<RelIq>,
-    /// The (bank, row) use bits each IQ slot currently has set: an
-    /// instruction sets at most two source bits plus one anchor bit, so
-    /// squashing a slot clears just those entries instead of sweeping a
-    /// whole RelIQ column across every bank (which is quadratic in the
-    /// register-file size and dominated ideal-MSP recoveries).
-    slot_uses: Vec<Vec<(usize, usize)>>,
     counter: StateCounter,
     lcs: LcsUnit,
     last_allocated: PhysReg,
@@ -252,7 +236,6 @@ impl MspStateManager {
         MspStateManager {
             scts,
             reliqs,
-            slot_uses: vec![Vec::new(); config.iq_size],
             counter: StateCounter::new(config.state_width()),
             lcs: LcsUnit::new(config.lcs_delay),
             last_allocated: PhysReg::new(0, 0),
@@ -320,10 +303,10 @@ impl MspStateManager {
     /// bank has no free entry.
     pub fn rename(&mut self, request: &RenameRequest) -> Result<RenamedInst, RenameError> {
         let mut sources = [None, None];
-        for (slot, reg) in sources.iter_mut().zip(request.sources()) {
+        for (slot, &reg) in sources.iter_mut().zip(request.sources.iter().flatten()) {
             *slot = Some(self.source_mapping(reg));
         }
-        let dest = match request.dest() {
+        let dest = match request.dest {
             Some(reg) => {
                 let bank = reg.flat_index();
                 if self.scts[bank].is_full() {
@@ -355,38 +338,14 @@ impl MspStateManager {
     /// the state of) physical register `reg`.
     pub fn note_use(&mut self, reg: PhysReg, iq_slot: usize) {
         self.reliqs[reg.bank()].set_use(reg.slot(), iq_slot);
-        self.slot_uses[iq_slot].push((reg.bank(), reg.slot()));
         self.mark_bank_dirty(reg.bank());
     }
 
-    /// Clears a previously recorded use (the consumer issued / completed).
+    /// Clears a recorded use: the consumer issued or completed, or it was
+    /// squashed while it held the slot.
     pub fn clear_use(&mut self, reg: PhysReg, iq_slot: usize) {
         self.reliqs[reg.bank()].clear_use(reg.slot(), iq_slot);
-        let uses = &mut self.slot_uses[iq_slot];
-        if let Some(pos) = uses
-            .iter()
-            .position(|&(bank, row)| bank == reg.bank() && row == reg.slot())
-        {
-            uses.swap_remove(pos);
-        }
         self.mark_bank_dirty(reg.bank());
-    }
-
-    /// Clears every use bit of an IQ slot across all banks (the slot was
-    /// squashed by a recovery). Only the bits the slot actually set are
-    /// touched — at most two sources and one anchor.
-    pub fn clear_iq_slot(&mut self, iq_slot: usize) {
-        #[cfg(msp_check_mutation)]
-        if crate::mutation::fire_once("skip-reliq-clear") {
-            return;
-        }
-        let mut uses = std::mem::take(&mut self.slot_uses[iq_slot]);
-        for (bank, row) in uses.drain(..) {
-            self.reliqs[bank].clear_use(row, iq_slot);
-            self.dirty_banks |= 1u64 << bank;
-        }
-        // Hand the (empty) buffer back so the capacity is reused.
-        self.slot_uses[iq_slot] = uses;
     }
 
     /// Marks a physical register as produced (writeback).
@@ -461,9 +420,8 @@ impl MspStateManager {
     /// `on_release` once for each, the StateId counter is restored, and the
     /// LCS pipeline is flushed.
     ///
-    /// The caller (the pipeline) is responsible for squashing the younger
-    /// instructions in the instruction queue and clearing their RelIQ columns
-    /// via [`MspStateManager::clear_iq_slot`].
+    /// The caller squashes the younger instructions first, clearing the use
+    /// bits each held in its IQ slot ([`MspScheme::squash`](crate::MspScheme::squash)).
     ///
     /// # Panics
     ///
@@ -526,12 +484,6 @@ impl MspStateManager {
         self.committed_floor
     }
 
-    /// The `(bank, row)` use bits currently attributed to an IQ slot by the
-    /// slot-indexed bookkeeping (the inverse index of the RelIQ matrices).
-    pub fn slot_uses(&self, iq_slot: usize) -> &[(usize, usize)] {
-        &self.slot_uses[iq_slot]
-    }
-
     /// Number of LCS minimums still propagating through the reduction-tree
     /// pipeline (zero right after a recovery flush).
     pub fn lcs_pending(&self) -> usize {
@@ -552,21 +504,6 @@ impl MspStateManager {
         }
         for reliq in &self.reliqs {
             reliq.hash_canonical(hasher);
-        }
-        for uses in &self.slot_uses {
-            // Bookkeeping order depends on the order bits were set and
-            // cleared, so hash the uses sorted. A slot holds at most two
-            // source bits and one anchor bit: sort them on the stack.
-            let mut inline = [(0, 0); 4];
-            if let Some(sorted) = inline.get_mut(..uses.len()) {
-                sorted.copy_from_slice(uses);
-                sorted.sort_unstable();
-                sorted.hash(hasher);
-            } else {
-                let mut sorted = uses.clone();
-                sorted.sort_unstable();
-                sorted.hash(hasher);
-            }
         }
         self.counter.current().as_u64().hash(hasher);
         self.lcs.hash_canonical(hasher);
@@ -633,11 +570,9 @@ impl MspStateManager {
     }
 
     /// Exhaustive occupancy audit: per-bank SCT structure, no leaked use bits
-    /// on free physical registers, exact two-way consistency between the
-    /// RelIQ matrices and the slot-indexed bookkeeping, and cache coherence
-    /// of every clean bank. Quadratic in the geometry — the model checker
-    /// runs it after every event; the full-scale pipeline only through the
-    /// property tests.
+    /// on free physical registers, and cache coherence of every clean bank.
+    /// Quadratic in the geometry — the model checker runs it after every
+    /// event; the full-scale pipeline only through the property tests.
     ///
     /// # Errors
     ///
@@ -682,29 +617,6 @@ impl MspStateManager {
                         self.release_gate[bank],
                         sct.second_oldest_state()
                     ));
-                }
-            }
-        }
-        for (iq_slot, uses) in self.slot_uses.iter().enumerate() {
-            for &(bank, row) in uses {
-                if !self.reliqs[bank].is_set(row, iq_slot) {
-                    return Err(format!(
-                        "slot {iq_slot} bookkeeping claims a use of r{bank}.{row} \
-                         but the RelIQ bit is clear"
-                    ));
-                }
-            }
-        }
-        for (bank, reliq) in self.reliqs.iter().enumerate() {
-            for row in 0..reliq.rows() {
-                for iq_slot in 0..self.config.iq_size {
-                    if reliq.is_set(row, iq_slot) && !self.slot_uses[iq_slot].contains(&(bank, row))
-                    {
-                        return Err(format!(
-                            "RelIQ bit (r{bank}.{row}, slot {iq_slot}) is set \
-                             without a bookkeeping entry"
-                        ));
-                    }
                 }
             }
         }
@@ -987,7 +899,6 @@ mod tests {
         assert_eq!(msp.reliq(0).rows(), 3);
         assert_eq!(msp.lcs_pending(), 0);
         assert!(msp.committed_floor() <= first.state_id.next());
-        assert!(msp.slot_uses(0).is_empty());
     }
 
     /// Two managers driven through identical histories hash identically, and
@@ -1027,7 +938,7 @@ mod tests {
         assert!(!has_uses(&msp));
         msp.note_use(phys, 3);
         assert!(has_uses(&msp));
-        msp.clear_iq_slot(3);
+        msp.clear_use(phys, 3);
         assert!(!has_uses(&msp));
     }
 }

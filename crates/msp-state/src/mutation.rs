@@ -5,8 +5,9 @@
 //! named defect on a squash/recovery path (see the hook sites in
 //! `manager.rs`, `scheme.rs`, `sct.rs` and `stateid.rs`); the `msp-check`
 //! explorer must catch every one of them with a counterexample, which is
-//! what proves the checker's invariants have teeth. Selection is a thread-local so parallel
-//! tests can arm different mutations without racing through the environment.
+//! what proves the checker's invariants have teeth. Selection is a
+//! thread-local so parallel tests can arm different mutations without racing
+//! through the environment.
 
 use std::cell::Cell;
 

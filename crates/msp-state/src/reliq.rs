@@ -5,8 +5,8 @@
 //! bank, one column per instruction-queue slot. During source renaming the
 //! bit `(register, iq_slot)` is set; when the instruction issues and reads the
 //! register the bit is cleared; on a squash the column of the cancelled
-//! instruction is cleared (the manager records which bits each slot set, so
-//! it clears just those; see `MspStateManager::clear_iq_slot`). The OR of a
+//! instruction is cleared (its `MspTag` records which bits it set, so only
+//! those are touched; see `MspScheme::squash`). The OR of a
 //! row (together with the Ready bit) produces the `RelIQ` signal used by the
 //! Release Pointer logic.
 //!

@@ -143,10 +143,18 @@ impl MspScheme {
         true
     }
 
-    /// Squashes an instruction that still holds IQ slot `slot`: clears the
-    /// slot's RelIQ column.
-    pub fn squash(&mut self, slot: usize) {
-        self.manager.clear_iq_slot(slot);
+    /// Squashes an instruction that still holds its IQ slot: clears the use
+    /// bits it holds there, its sources until issue and its anchor until
+    /// completion. Those are the slot's whole RelIQ column, so no column is
+    /// swept across the banks.
+    pub fn squash(&mut self, tag: &MspTag) {
+        #[cfg(msp_check_mutation)]
+        if crate::mutation::fire_once("skip-reliq-clear") {
+            return;
+        }
+        for phys in tag.uses.into_iter().chain([tag.anchor]).flatten() {
+            self.manager.clear_use(phys, tag.slot);
+        }
     }
 
     /// Precise recovery once the branch with `branch` mispredicted and every

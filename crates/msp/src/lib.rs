@@ -11,8 +11,8 @@
 //! * [`mem`] — the cache hierarchy and (hierarchical) store queues,
 //! * [`state`] — the paper's contribution: StateIds, SCTs, the LCS unit,
 //!   the RelIQ matrix, the banked register file and precise recovery,
-//! * [`pipeline`] — the cycle-level timing simulator with Baseline, CPR and
-//!   MSP back ends,
+//! * [`pipeline`] — the cycle-level timing simulator with one
+//!   state-management component per scheme (Baseline, CPR and MSP),
 //! * [`power`] — the analytical register-file power/area model plus the
 //!   per-event [`EnergyModel`](power::EnergyModel) behind activity-driven
 //!   energy accounting,
