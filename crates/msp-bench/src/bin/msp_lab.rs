@@ -735,12 +735,12 @@ fn run_check(cmd: CheckCmd) -> Result<(), String> {
                 msp_check::disarm_mutation();
                 match &report.violation {
                     Some(cx) => println!(
-                        "check matrix: {name:28} KILLED after {} events ({} states visited)",
+                        "check matrix: {name:29} KILLED after {} events ({} states visited)",
                         cx.events.len(),
                         report.visited
                     ),
                     None => {
-                        println!("check matrix: {name:28} SURVIVED ({report})");
+                        println!("check matrix: {name:29} SURVIVED ({report})");
                         survivors.push(name);
                     }
                 }

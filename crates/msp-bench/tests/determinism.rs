@@ -362,7 +362,11 @@ fn every_kernel_and_scheme_matches_its_pinned_digest_at_100k() {
         ],
         |stats| {
             let counters: Vec<String> = stats.activity.counters().map(u64::to_string).collect();
-            format!("{} activity={}", stats.canonical_string(), counters.join(","))
+            format!(
+                "{} activity={}",
+                stats.canonical_string(),
+                counters.join(",")
+            )
         },
     );
 }

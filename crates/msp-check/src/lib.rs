@@ -41,10 +41,10 @@ pub use cpr::{CprConfig, CprMachine};
 pub use explore::{explore, CheckReport, Counterexample, ExploreLimits, Model};
 pub use machine::{default_program, CheckConfig, MspEvent, MspMachine, Op};
 
-/// Every seeded recovery defect of the mutation-kill matrix, with the site
+/// Every seeded defect of the mutation-kill matrix, with the site
 /// it lives at. Each one is compiled in only under
 /// `RUSTFLAGS="--cfg msp_check_mutation"` and armed per thread via
-/// [`arm_mutation`]. Six sites are msp-state code the timing simulator runs;
+/// [`arm_mutation`]. Seven sites are msp-state code the timing simulator runs;
 /// `leak-cpr-checkpoint` sits in the checker's own CPR model (see
 /// [`CprMachine`]):
 ///
@@ -57,6 +57,7 @@ pub use machine::{default_program, CheckConfig, MspEvent, MspMachine, Op};
 /// | `counter-recover-off-by-one` | `StateCounter::recover_to` | the counter recovers one state too young |
 /// | `leak-cpr-checkpoint` | `CprMachine::apply_mispredict` | rollback forgets to return one region's registers to the pool |
 /// | `skip-storequeue-squash` | `MspScheme::recover` | recovery forgets to squash wrong-path stores |
+/// | `skip-dirty-at-release-pointer` | `MspStateManager::clear_use` | a use-bit clear on the entry under the Release Pointer leaves its bank clean |
 pub const MUTATIONS: &[&str] = &[
     "skip-reliq-clear",
     "sct-release-off-by-one",
@@ -65,6 +66,7 @@ pub const MUTATIONS: &[&str] = &[
     "counter-recover-off-by-one",
     "leak-cpr-checkpoint",
     "skip-storequeue-squash",
+    "skip-dirty-at-release-pointer",
 ];
 
 /// Whether the workspace was compiled with the seeded mutations available.

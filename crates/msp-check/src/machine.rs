@@ -534,16 +534,13 @@ impl MspMachine {
         if self.iq_free == 0 {
             return false;
         }
-        match op {
-            // A full destination bank is a rename stall.
-            Op::Alu { dest, .. } => {
-                self.manager()
-                    .free_registers(ArchReg::from_flat_index(dest))
-                    > 0
-            }
-            Op::Store { .. } => !self.stores.is_full(),
-            Op::Branch { .. } => true,
-        }
+        // A full store queue stalls a store; the component decides the rest.
+        let queue_room = !matches!(op, Op::Store { .. }) || !self.stores.is_full();
+        queue_room
+            && self
+                .scheme
+                .admit(op.dest().map(ArchReg::from_flat_index))
+                .is_ok()
     }
 
     fn apply_dispatch(&mut self) -> Result<(), String> {

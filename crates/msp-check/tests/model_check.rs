@@ -66,7 +66,7 @@ fn unknown_mutation_is_rejected() {
 
 #[test]
 fn mutation_registry_is_complete() {
-    assert_eq!(MUTATIONS.len(), 7);
+    assert_eq!(MUTATIONS.len(), 8);
 }
 
 #[cfg(not(msp_check_mutation))]
@@ -170,6 +170,12 @@ mod kills {
     #[test]
     fn kills_skip_storequeue_squash() {
         assert_killed("skip-storequeue-squash", 11, 1_124);
+    }
+
+    #[test]
+    fn kills_skip_dirty_at_release_pointer() {
+        let cx = assert_killed("skip-dirty-at-release-pointer", 3, 14);
+        assert!(cx.message.contains("not settled"), "{}", cx.transcript);
     }
 
     #[test]

@@ -5,9 +5,102 @@
 //! than the LCS can commit, which may commit several states in one cycle. The
 //! tree can be pipelined: the paper reports that even a 4-cycle propagation
 //! delay costs less than 1% IPC, which the `ablation_lcs` bench reproduces.
+//!
+//! [`MinTree`] is that comparator tree. The state manager keeps each bank's
+//! contribution in one (and each bank's release gate in a second), so a bank
+//! whose input changed costs `log2(banks)` comparisons, the LCS reads the
+//! root, and a descent from the root finds exactly the banks below a bound.
+//! [`LcsUnit`] models the propagation delay of the tree's output.
 
 use crate::stateid::StateId;
 use std::collections::VecDeque;
+
+/// A binary tree of `min` comparators over a fixed number of `u64` leaves.
+///
+/// The tree lives in exactly `2 × leaves` words: leaf `i` at `nodes[leaves +
+/// i]`, every inner node `k` in `1..leaves` holding the minimum of its
+/// children `2k` and `2k + 1`, the root at `nodes[1]` and `nodes[0]` unused.
+/// `min` is commutative, so the root is the minimum of all leaves for any
+/// leaf count, a power of two or not.
+#[derive(Debug, Clone)]
+pub(crate) struct MinTree {
+    nodes: Box<[u64]>,
+}
+
+impl MinTree {
+    /// A tree of `leaves` leaves, each holding `value`.
+    pub(crate) fn new(leaves: usize, value: u64) -> Self {
+        assert!(leaves >= 1, "a comparator tree needs at least one leaf");
+        MinTree {
+            nodes: vec![value; 2 * leaves].into_boxed_slice(),
+        }
+    }
+
+    fn leaves(&self) -> usize {
+        self.nodes.len() / 2
+    }
+
+    /// The value of leaf `leaf`.
+    pub(crate) fn leaf(&self, leaf: usize) -> u64 {
+        self.nodes[self.leaves() + leaf]
+    }
+
+    /// The minimum over every leaf.
+    #[inline]
+    pub(crate) fn min(&self) -> u64 {
+        self.nodes[1]
+    }
+
+    /// Sets leaf `leaf` to `value` and re-derives its ancestors, stopping at
+    /// the first one whose minimum does not change.
+    #[inline]
+    pub(crate) fn set(&mut self, leaf: usize, value: u64) {
+        let mut node = self.leaves() + leaf;
+        if self.nodes[node] == value {
+            return;
+        }
+        self.nodes[node] = value;
+        while node > 1 {
+            node /= 2;
+            let min = self.nodes[2 * node].min(self.nodes[2 * node + 1]);
+            if self.nodes[node] == min {
+                return;
+            }
+            self.nodes[node] = min;
+        }
+    }
+
+    /// The leaves holding a value below `bound`, one bit per leaf (at most
+    /// 64 leaves), found by descending only into subtrees whose minimum is
+    /// below it.
+    #[inline]
+    pub(crate) fn leaves_below(&self, bound: u64) -> u64 {
+        let mut found = 0;
+        if self.min() < bound {
+            self.descend(1, bound, &mut found);
+        }
+        found
+    }
+
+    fn descend(&self, node: usize, bound: u64, found: &mut u64) {
+        let leaves = self.leaves();
+        if node >= leaves {
+            *found |= 1 << (node - leaves);
+            return;
+        }
+        for child in [2 * node, 2 * node + 1] {
+            if self.nodes[child] < bound {
+                self.descend(child, bound, found);
+            }
+        }
+    }
+
+    /// Whether every inner node holds the minimum of its children.
+    pub(crate) fn is_coherent(&self) -> bool {
+        (1..self.leaves())
+            .all(|node| self.nodes[node] == self.nodes[2 * node].min(self.nodes[2 * node + 1]))
+    }
+}
 
 /// The LCS reduction unit with a configurable propagation delay.
 ///
@@ -144,6 +237,55 @@ mod tests {
             lcs.clock(Some(StateId::new(50)), StateId::ZERO),
             StateId::new(4)
         );
+    }
+
+    #[test]
+    fn min_tree_tracks_its_leaves() {
+        let mut single = MinTree::new(1, u64::MAX);
+        single.set(0, 4);
+        assert_eq!((single.min(), single.leaves_below(5)), (4, 1));
+        for leaves in [2, 3, 5, 64] {
+            let mut tree = MinTree::new(leaves, u64::MAX);
+            assert_eq!(tree.min(), u64::MAX);
+            assert_eq!(tree.leaves_below(u64::MAX), 0);
+            tree.set(leaves - 1, 7);
+            tree.set(0, 9);
+            assert_eq!(tree.min(), 7);
+            assert_eq!(tree.leaf(leaves - 1), 7);
+            // Raising the minimum leaf re-derives the root.
+            tree.set(leaves - 1, 12);
+            assert_eq!(tree.min(), 9);
+            assert_eq!(tree.leaves_below(10), 1);
+            assert!(tree.is_coherent());
+        }
+    }
+
+    proptest! {
+        /// After any sequence of leaf writes the root is the minimum of the
+        /// leaves and the descent finds exactly the leaves below the bound,
+        /// for leaf counts that are powers of two and that are not.
+        #[test]
+        fn min_tree_matches_a_linear_fold(
+            leaves in 1usize..65,
+            writes in proptest::collection::vec((0usize..64, 0u64..40), 0..80),
+            bound in 0u64..41,
+        ) {
+            let mut tree = MinTree::new(leaves, u64::MAX);
+            let mut reference = vec![u64::MAX; leaves];
+            for (leaf, value) in writes {
+                let leaf = leaf % leaves;
+                tree.set(leaf, value);
+                reference[leaf] = value;
+            }
+            prop_assert_eq!(tree.min(), reference.iter().copied().fold(u64::MAX, u64::min));
+            let below = reference
+                .iter()
+                .enumerate()
+                .filter(|(_, &v)| v < bound)
+                .fold(0u64, |set, (leaf, _)| set | 1 << leaf);
+            prop_assert_eq!(tree.leaves_below(bound), below);
+            prop_assert!(tree.is_coherent());
+        }
     }
 
     proptest! {

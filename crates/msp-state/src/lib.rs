@@ -27,7 +27,9 @@
 //!   (Section 3.4).
 //! * [`LcsUnit`] — the global **Last Committed StateId** reduction tree:
 //!   `LCS = min(StateId[RelP_i])` over all banks, with a configurable
-//!   propagation delay (Section 3.2.2).
+//!   propagation delay (Section 3.2.2). The manager keeps the per-bank
+//!   inputs in a comparator tree and re-derives only the banks whose
+//!   Release Pointer can move, so a commit clock costs O(changed banks).
 //! * [`PortArbiter`] — the banked register file has a single read and a
 //!   single write port per bank; the arbiter grants them cycle by cycle, the
 //!   arbitration stage the MSP adds to the pipeline (Section 5.1).

@@ -1,7 +1,33 @@
 //! The MSP state-management facade: distributed renaming, use tracking,
 //! LCS-driven commit and precise recovery (Sections 3.2–3.5).
+//!
+//! # The commit clock
+//!
+//! Each cycle the manager advances the Release Pointers, reduces the LCS
+//! and releases committed registers. It does so in O(changed banks): each
+//! bank's LCS contribution and release gate sit in the leaves of two
+//! comparator trees ([`MinTree`]), re-derived only for the banks marked
+//! *dirty* since the last clock. The LCS reads the contribution tree's root,
+//! and the release step visits only the banks a descent of the gate tree
+//! finds below the LCS.
+//!
+//! A bank is marked dirty only when its Release Pointer can move, or its
+//! idle condition flip:
+//!
+//! * a use bit set or cleared, or a Ready bit written, on the entry *under*
+//!   the pointer: the pointer stops at the first entry it cannot pass and
+//!   reads nothing beyond it, and never returns to the entries behind it;
+//! * an allocation, which moves the Rename Pointer the Release Pointer may
+//!   not pass (and gives the bank a new second-oldest entry);
+//! * a recovery, which squashes entries, perhaps the one under the pointer.
+//!
+//! A release does not dirty its bank. It frees only entries older than the
+//! youngest one below the LCS, and the pointer has already passed those, so
+//! it refreshes only the bank's release gate. A clean bank is therefore
+//! always *settled*: advancing its pointer would neither move it nor flip
+//! its idle condition, which [`MspStateManager::verify_occupancy`] checks.
 
-use crate::lcs::LcsUnit;
+use crate::lcs::{LcsUnit, MinTree};
 use crate::physreg::PhysReg;
 use crate::reliq::RelIq;
 use crate::sct::Sct;
@@ -118,8 +144,6 @@ pub struct SourceMapping {
     pub logical: ArchReg,
     /// The physical register holding its most recent renaming.
     pub phys: PhysReg,
-    /// Whether the value had already been produced at rename time.
-    pub ready: bool,
 }
 
 /// A newly allocated destination renaming.
@@ -188,17 +212,16 @@ pub struct MspStateManager {
     lcs: LcsUnit,
     last_allocated: PhysReg,
     committed_floor: StateId,
-    /// Banks whose Release-Pointer inputs (Ready bits, RelIQ use bits,
-    /// allocations, recoveries) changed since the last commit clock, one bit
-    /// per bank. Clean banks provably produce the same LCS contribution as
-    /// last cycle, so the commit clock re-derives only the dirty ones.
+    /// Banks whose Release Pointer may move at the next commit clock, one
+    /// bit per bank (see the module documentation for the rule). Every
+    /// other bank is settled, so the commit clock re-derives only these.
     dirty_banks: u64,
-    /// Cached per-bank LCS contribution (`u64::MAX` encodes an idle bank),
-    /// valid for every clean bank.
-    contrib_cache: Vec<u64>,
-    /// Cached per-bank release gate ([`Sct::second_oldest_state`]), valid
-    /// for every clean bank and refreshed whenever a bank releases.
-    release_gate: Vec<u64>,
+    /// Per-bank LCS contribution (`u64::MAX` encodes an idle bank), valid
+    /// for every clean bank.
+    contributions: MinTree,
+    /// Per-bank release gate ([`Sct::second_oldest_state`]), valid for
+    /// every clean bank and refreshed whenever a bank releases.
+    release_gates: MinTree,
 }
 
 const _: () = assert!(
@@ -241,8 +264,8 @@ impl MspStateManager {
             last_allocated: PhysReg::new(0, 0),
             committed_floor: StateId::ZERO,
             dirty_banks: all_banks_dirty(config.banks),
-            contrib_cache: vec![u64::MAX; config.banks],
-            release_gate: vec![u64::MAX; config.banks],
+            contributions: MinTree::new(config.banks, u64::MAX),
+            release_gates: MinTree::new(config.banks, u64::MAX),
             config,
         }
     }
@@ -263,31 +286,32 @@ impl MspStateManager {
         self.lcs.current()
     }
 
-    /// Marks a bank's commit-clock caches as stale. Every mutation that can
-    /// change a bank's Release-Pointer progress or LCS contribution funnels
-    /// through this, which is what keeps the incremental
-    /// [`MspStateManager::clock_commit`] bit-identical to a full sweep.
+    /// Marks a bank's commit-clock leaves as stale. Every mutation that can
+    /// move a bank's Release Pointer or flip its idle condition funnels
+    /// through this or [`MspStateManager::touch`], which is what keeps the
+    /// incremental [`MspStateManager::clock_commit`] bit-identical to a full
+    /// sweep.
     #[inline]
     fn mark_bank_dirty(&mut self, bank: usize) {
         self.dirty_banks |= 1u64 << bank;
     }
 
-    /// Number of free physical registers remaining in a logical register's
-    /// bank.
-    pub fn free_registers(&self, reg: ArchReg) -> usize {
-        self.scts[reg.flat_index()].free_entries()
+    /// Marks `reg`'s bank dirty if `reg` is the entry under the bank's
+    /// Release Pointer: a change to any other entry's Ready or use bits
+    /// cannot move the pointer.
+    #[inline]
+    fn touch(&mut self, reg: PhysReg) {
+        if self.scts[reg.bank()].release_pointer() == reg.slot() {
+            self.mark_bank_dirty(reg.bank());
+        }
     }
 
     /// The current mapping of a logical register (the renaming a newly
     /// decoded consumer would source).
     pub fn source_mapping(&self, reg: ArchReg) -> SourceMapping {
-        let sct = &self.scts[reg.flat_index()];
-        let slot = sct.current_mapping();
-        SourceMapping {
-            logical: reg,
-            phys: PhysReg::new(reg.flat_index(), slot),
-            ready: sct.is_ready(slot),
-        }
+        let bank = reg.flat_index();
+        let phys = PhysReg::new(bank, self.scts[bank].current_mapping());
+        SourceMapping { logical: reg, phys }
     }
 
     /// Renames one instruction, in program order: resolves its sources
@@ -338,20 +362,24 @@ impl MspStateManager {
     /// the state of) physical register `reg`.
     pub fn note_use(&mut self, reg: PhysReg, iq_slot: usize) {
         self.reliqs[reg.bank()].set_use(reg.slot(), iq_slot);
-        self.mark_bank_dirty(reg.bank());
+        self.touch(reg);
     }
 
     /// Clears a recorded use: the consumer issued or completed, or it was
     /// squashed while it held the slot.
     pub fn clear_use(&mut self, reg: PhysReg, iq_slot: usize) {
         self.reliqs[reg.bank()].clear_use(reg.slot(), iq_slot);
-        self.mark_bank_dirty(reg.bank());
+        #[cfg(msp_check_mutation)]
+        if crate::mutation::is_active("skip-dirty-at-release-pointer") {
+            return;
+        }
+        self.touch(reg);
     }
 
     /// Marks a physical register as produced (writeback).
     pub fn mark_ready(&mut self, reg: PhysReg) {
         self.scts[reg.bank()].mark_ready(reg.slot());
-        self.mark_bank_dirty(reg.bank());
+        self.touch(reg);
     }
 
     /// Whether a physical register's value has been produced.
@@ -362,16 +390,12 @@ impl MspStateManager {
     /// Performs one commit/release cycle (Section 3.2.2): advances every
     /// bank's Release Pointer, recomputes the LCS, commits every state older
     /// than it and releases the corresponding physical registers, calling
-    /// `on_release` once for each. Returns the LCS visible this cycle: every
-    /// state strictly older is committed.
+    /// `on_release` once for each, bank by bank in ascending order. Returns
+    /// the LCS visible this cycle: every state strictly older is committed.
     pub fn clock_commit(&mut self, mut on_release: impl FnMut(PhysReg)) -> StateId {
-        // 1. Advance the Release Pointer of every *dirty* bank and refresh
-        //    its cached LCS contribution and release gate. A clean bank's
-        //    inputs (Ready bits, RelIQ use bits, Rename Pointer) are
-        //    untouched since its caches were computed, so re-deriving them
-        //    would reproduce the cached values — skipping the other
-        //    `NUM_LOGICAL_REGS - popcount(dirty)` banks is what makes the
-        //    per-cycle commit clock O(changed banks) instead of O(banks).
+        // 1. Advance the Release Pointer of every dirty bank and update its
+        //    leaves in both trees. Every clean bank is settled: re-deriving
+        //    it would reproduce its leaves.
         let mut dirty = self.dirty_banks;
         self.dirty_banks = 0;
         while dirty != 0 {
@@ -380,33 +404,35 @@ impl MspStateManager {
             let reliq = &self.reliqs[bank];
             let sct = &mut self.scts[bank];
             sct.advance_release_pointer(|slot| reliq.any_use(slot));
-            self.contrib_cache[bank] = sct.lcs_contribution().map_or(u64::MAX, StateId::as_u64);
-            self.release_gate[bank] = sct.second_oldest_state();
+            self.contributions.set(
+                bank,
+                sct.lcs_contribution().map_or(u64::MAX, StateId::as_u64),
+            );
+            self.release_gates.set(bank, sct.second_oldest_state());
         }
-        // 2. Reduce the cached per-bank contributions to the LCS with a
-        //    branch-free min over the flat cache (idle banks hold u64::MAX
-        //    and lose every comparison; when every bank is idle the LCS
-        //    unit computes the fallback instead).
+        // 2. The LCS is the contribution tree's root (idle banks hold
+        //    u64::MAX and lose every comparison; when every bank is idle the
+        //    LCS unit computes the fallback instead).
         let fallback = self.counter.current().next();
-        let min = self.contrib_cache.iter().fold(u64::MAX, |m, &v| m.min(v));
+        let min = self.contributions.min();
         let lcs = self
             .lcs
             .clock((min != u64::MAX).then_some(StateId::new(min)), fallback);
-        // 3. Release committed registers, visiting only banks whose gate
-        //    shows at least two entries older than the LCS (the exact
-        //    condition under which `release_committed` frees anything).
-        let lcs_raw = lcs.as_u64();
-        for bank in 0..self.scts.len() {
-            if self.release_gate[bank] >= lcs_raw {
-                continue;
-            }
+        // 3. Release committed registers from the banks whose gate shows at
+        //    least two entries older than the LCS (the exact condition under
+        //    which `release_committed` frees anything). The pointer has
+        //    passed every entry a release frees, so only the gate changes.
+        let mut releasing = self.release_gates.leaves_below(lcs.as_u64());
+        while releasing != 0 {
+            let bank = releasing.trailing_zeros() as usize;
+            releasing &= releasing - 1;
             let reliqs = &mut self.reliqs;
             self.scts[bank].release_committed(lcs, |slot| {
                 reliqs[bank].clear_row(slot);
                 on_release(PhysReg::new(bank, slot));
             });
-            self.release_gate[bank] = self.scts[bank].second_oldest_state();
-            self.dirty_banks |= 1u64 << bank;
+            self.release_gates
+                .set(bank, self.scts[bank].second_oldest_state());
         }
         if lcs > self.committed_floor {
             self.committed_floor = lcs;
@@ -495,8 +521,9 @@ impl MspStateManager {
     /// are (modulo hash collisions) indistinguishable by any future sequence
     /// of operations — the property the model checker's visited-state
     /// deduplication relies on. The cache exclusion is sound because
-    /// [`MspStateManager::verify_occupancy`] cross-checks every clean bank's
-    /// cache against a fresh derivation.
+    /// [`MspStateManager::verify_occupancy`] checks that every clean bank is
+    /// settled and that its leaves match a fresh derivation, so which banks
+    /// are dirty cannot change what a commit clock computes.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, hasher: &mut H) {
         use std::hash::Hash;
         for sct in &self.scts {
@@ -570,9 +597,11 @@ impl MspStateManager {
     }
 
     /// Exhaustive occupancy audit: per-bank SCT structure, no leaked use bits
-    /// on free physical registers, and cache coherence of every clean bank.
-    /// Quadratic in the geometry — the model checker runs it after every
-    /// event; the full-scale pipeline only through the property tests.
+    /// on free physical registers, coherent comparator trees, and every
+    /// clean bank settled with leaves that match a fresh derivation (each
+    /// O(1) per bank, with no clone). Quadratic in the geometry — the model
+    /// checker runs it after every event; the full-scale pipeline only
+    /// through the property tests.
     ///
     /// # Errors
     ///
@@ -604,21 +633,31 @@ impl MspStateManager {
                 }
             }
             if self.dirty_banks & (1u64 << bank) == 0 {
-                let contrib = sct.lcs_contribution().map_or(u64::MAX, StateId::as_u64);
-                if self.contrib_cache[bank] != contrib {
+                if !sct.is_settled(|slot| self.reliqs[bank].any_use(slot)) {
                     return Err(format!(
-                        "clean bank {bank} caches LCS contribution {} but derives {contrib}",
-                        self.contrib_cache[bank]
+                        "clean bank {bank} is not settled: its Release Pointer {} could \
+                         move or its idle condition flip",
+                        sct.release_pointer()
                     ));
                 }
-                if self.release_gate[bank] != sct.second_oldest_state() {
+                let contrib = sct.lcs_contribution().map_or(u64::MAX, StateId::as_u64);
+                if self.contributions.leaf(bank) != contrib {
+                    return Err(format!(
+                        "clean bank {bank} caches LCS contribution {} but derives {contrib}",
+                        self.contributions.leaf(bank)
+                    ));
+                }
+                if self.release_gates.leaf(bank) != sct.second_oldest_state() {
                     return Err(format!(
                         "clean bank {bank} caches release gate {} but derives {}",
-                        self.release_gate[bank],
+                        self.release_gates.leaf(bank),
                         sct.second_oldest_state()
                     ));
                 }
             }
+        }
+        if !self.contributions.is_coherent() || !self.release_gates.is_coherent() {
+            return Err("a comparator tree's inner node is not the minimum of its children".into());
         }
         if self.lcs.current() > self.counter.current().next() {
             return Err(format!(
@@ -795,7 +834,6 @@ mod tests {
             .rename(&RenameRequest::new(Some(int(7)), &[]))
             .unwrap_err();
         assert_eq!(err, RenameError::BankFull(int(7)));
-        assert_eq!(msp.free_registers(int(7)), 0);
         assert_eq!(err.to_string(), "no free physical register in bank r7");
         // The stalled rename allocated no state, and so does every retry
         // until a register is released.
@@ -819,7 +857,7 @@ mod tests {
             .unwrap();
         let source = second.sources[0].unwrap();
         assert_eq!(source.phys, first.dest.unwrap().phys);
-        assert!(!source.ready);
+        assert!(!msp.is_ready(source.phys));
     }
 
     #[test]
@@ -901,16 +939,17 @@ mod tests {
         assert!(msp.committed_floor() <= first.state_id.next());
     }
 
+    fn fingerprint(msp: &MspStateManager) -> u64 {
+        use std::hash::{DefaultHasher, Hasher};
+        let mut h = DefaultHasher::new();
+        msp.hash_canonical(&mut h);
+        h.finish()
+    }
+
     /// Two managers driven through identical histories hash identically, and
     /// any behavioural difference (an extra allocation) changes the hash.
     #[test]
     fn canonical_hash_tracks_behavioural_state() {
-        use std::hash::{DefaultHasher, Hasher};
-        let fingerprint = |m: &MspStateManager| {
-            let mut h = DefaultHasher::new();
-            m.hash_canonical(&mut h);
-            h.finish()
-        };
         let mut a = MspStateManager::new(MspConfig::tiny(2, 3, 8));
         let mut b = MspStateManager::new(MspConfig::tiny(2, 3, 8));
         assert_eq!(fingerprint(&a), fingerprint(&b));
@@ -920,6 +959,119 @@ mod tests {
         // A further allocation changes the hash.
         b.rename(&RenameRequest::new(Some(int(0)), &[])).unwrap();
         assert_ne!(fingerprint(&a), fingerprint(&b));
+    }
+
+    /// The commit clock without trees or dirty banks: advances every
+    /// bank's Release Pointer, folds the minimum contribution linearly and
+    /// offers every bank the release.
+    fn reference_clock(msp: &mut MspStateManager, released: &mut Vec<PhysReg>) -> StateId {
+        for (sct, reliq) in msp.scts.iter_mut().zip(&msp.reliqs) {
+            sct.advance_release_pointer(|slot| reliq.any_use(slot));
+        }
+        let min = msp.scts.iter().filter_map(Sct::lcs_contribution).min();
+        let lcs = msp.lcs.clock(min, msp.counter.current().next());
+        for (bank, (sct, reliq)) in msp.scts.iter_mut().zip(&mut msp.reliqs).enumerate() {
+            sct.release_committed(lcs, |slot| {
+                reliq.clear_row(slot);
+                released.push(PhysReg::new(bank, slot));
+            });
+        }
+        if lcs > msp.committed_floor {
+            msp.committed_floor = lcs;
+            msp.counter.note_committed(lcs);
+        }
+        lcs
+    }
+
+    proptest::proptest! {
+        /// Random renames, use-bit sets and clears, writebacks, commit
+        /// clocks and recoveries on a 5-bank × 4-register manager: after
+        /// every clock the comparator trees and the dirtiness rule give the
+        /// LCS, the released registers and the whole canonical state of a
+        /// reference that re-derives every bank, and the occupancy audit
+        /// (clean banks settled) holds after every operation.
+        #[test]
+        fn commit_clock_matches_a_from_scratch_reference(
+            lcs_delay in 0usize..3,
+            ops in proptest::collection::vec((0u8..16, 0u64..1 << 32), 1..400),
+        ) {
+            let (banks, iq_size) = (5, 6);
+            let config = MspConfig { lcs_delay, ..MspConfig::tiny(banks, 4, iq_size) };
+            let mut msp = MspStateManager::new(config);
+            let mut reference = msp.clone();
+            for (op, r) in ops {
+                let pick = |n: usize| (r >> 8) as usize % n;
+                match op {
+                    // Rename: a destination in bank `r % banks` half the
+                    // time, up to two sources.
+                    0..=2 => {
+                        let dest = (r & 1 == 0).then(|| int(r as usize % banks));
+                        let sources: Vec<ArchReg> = (0..(r >> 4) as usize % 3)
+                            .map(|i| int((r >> (12 + 4 * i)) as usize % banks))
+                            .collect();
+                        let request = RenameRequest::new(dest, &sources);
+                        proptest::prop_assert_eq!(msp.rename(&request), reference.rename(&request));
+                    }
+                    // A consumer in a random IQ slot uses a current mapping.
+                    3 | 4 => {
+                        let phys = msp.source_mapping(int(r as usize % banks)).phys;
+                        let slot = (r >> 4) as usize % iq_size;
+                        msp.note_use(phys, slot);
+                        reference.note_use(phys, slot);
+                    }
+                    // Some recorded use is cleared.
+                    5..=7 => {
+                        let set: Vec<(PhysReg, usize)> = (0..banks)
+                            .flat_map(|b| (0..4).map(move |row| PhysReg::new(b, row)))
+                            .flat_map(|p| (0..iq_size).map(move |slot| (p, slot)))
+                            .filter(|&(p, slot)| msp.reliq(p.bank()).is_set(p.slot(), slot))
+                            .collect();
+                        if !set.is_empty() {
+                            let (phys, slot) = set[pick(set.len())];
+                            msp.clear_use(phys, slot);
+                            reference.clear_use(phys, slot);
+                        }
+                    }
+                    // Some unready register is written back.
+                    8..=10 => {
+                        let unready: Vec<PhysReg> = (0..banks)
+                            .flat_map(|b| {
+                                msp.sct(b)
+                                    .iter_live()
+                                    .filter(|(_, e)| !e.is_ready())
+                                    .map(move |(slot, _)| PhysReg::new(b, slot))
+                            })
+                            .collect();
+                        if !unready.is_empty() {
+                            let phys = unready[pick(unready.len())];
+                            msp.mark_ready(phys);
+                            reference.mark_ready(phys);
+                        }
+                    }
+                    // A commit clock.
+                    11..=14 => {
+                        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+                        let lcs = msp.clock_commit(|p| fast.push(p));
+                        proptest::prop_assert_eq!(lcs, reference_clock(&mut reference, &mut slow));
+                        proptest::prop_assert_eq!(fast, slow);
+                        proptest::prop_assert_eq!(fingerprint(&msp), fingerprint(&reference));
+                    }
+                    // A recovery to a state that has not committed.
+                    _ => {
+                        let low = msp.committed_floor().as_u64().saturating_sub(1);
+                        let high = msp.current_state().as_u64();
+                        let target = StateId::new(low + (r % (high - low + 1)));
+                        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+                        msp.recover(target, |p| fast.push(p));
+                        reference.recover(target, |p| slow.push(p));
+                        proptest::prop_assert_eq!(fast, slow);
+                    }
+                }
+                if let Err(violation) = msp.verify_occupancy() {
+                    proptest::prop_assert!(false, "{violation}");
+                }
+            }
+        }
     }
 
     #[test]

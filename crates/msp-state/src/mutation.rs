@@ -2,10 +2,10 @@
 //!
 //! This module only exists when the crate is compiled with
 //! `RUSTFLAGS="--cfg msp_check_mutation"`. Each mutation is a deliberate,
-//! named defect on a squash/recovery path (see the hook sites in
-//! `manager.rs`, `scheme.rs`, `sct.rs` and `stateid.rs`); the `msp-check`
-//! explorer must catch every one of them with a counterexample, which is
-//! what proves the checker's invariants have teeth. Selection is a
+//! named defect on a squash, recovery or commit-clock path (see the hook
+//! sites in `manager.rs`, `scheme.rs`, `sct.rs` and `stateid.rs`); the
+//! `msp-check` explorer must catch every one of them with a counterexample,
+//! which is what proves the checker's invariants have teeth. Selection is a
 //! thread-local so parallel tests can arm different mutations without racing
 //! through the environment.
 

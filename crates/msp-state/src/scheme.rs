@@ -59,19 +59,37 @@ impl MspScheme {
         }
     }
 
+    /// Whether an instruction writing `dest` may rename now: the scheme's
+    /// part of dispatch admission. Room in the instruction and store queues
+    /// and the same-register limit are the caller's to check.
+    ///
+    /// # Errors
+    ///
+    /// [`RenameError::BankFull`] when `dest`'s bank has no free register
+    /// (the register-file stall of Figs. 6–8).
+    pub fn admit(&self, dest: Option<ArchReg>) -> Result<(), RenameError> {
+        match dest {
+            Some(reg) if self.manager.sct(reg.flat_index()).is_full() => {
+                Err(RenameError::BankFull(reg))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Renames an instruction writing `dest` and reading up to two
     /// `sources`, which enters the instruction queue at `slot`, and sets its
     /// use bits.
     ///
     /// # Errors
     ///
-    /// [`RenameError::BankFull`] when `dest`'s bank has no free register.
+    /// [`RenameError::BankFull`] when [`MspScheme::admit`] refuses `dest`.
     pub fn rename(
         &mut self,
         dest: Option<ArchReg>,
         mut sources: impl Iterator<Item = ArchReg>,
         slot: usize,
     ) -> Result<(RenamedInst, MspTag), RenameError> {
+        self.admit(dest)?;
         let sources = [sources.next(), sources.next()];
         let renamed = self.manager.rename(&RenameRequest { dest, sources })?;
         let dest = renamed.dest.map(|d| d.phys);
@@ -200,5 +218,31 @@ impl MspScheme {
             retiring += 1;
         }
         (retiring, next_seq)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_bank_refuses_admission_and_rename() {
+        let mut scheme = MspScheme::new(MspConfig::n_sp(2), false);
+        let r7 = Some(ArchReg::int(7));
+        assert_eq!(scheme.admit(r7), Ok(()));
+        // One free register besides the architectural mapping.
+        scheme.rename(r7, std::iter::empty(), 0).unwrap();
+        assert_eq!(
+            scheme.admit(r7),
+            Err(RenameError::BankFull(ArchReg::int(7)))
+        );
+        assert_eq!(
+            scheme.rename(r7, std::iter::empty(), 1).unwrap_err(),
+            RenameError::BankFull(ArchReg::int(7))
+        );
+        // Other banks, and instructions that allocate nothing, still rename.
+        assert_eq!(scheme.admit(Some(ArchReg::int(6))), Ok(()));
+        assert_eq!(scheme.admit(None), Ok(()));
+        assert_eq!(scheme.manager().current_state(), StateId::new(1));
     }
 }

@@ -299,6 +299,20 @@ impl Sct {
         self.idle = self.rel_p == ren_p && passable(&self.entries[ren_p], ren_p);
     }
 
+    /// Whether [`Sct::advance_release_pointer`] would leave the pointer and
+    /// the idle condition as they are, in O(1): the pointer rests on a live
+    /// entry it cannot pass, or on the Rename Pointer with the idle
+    /// condition matching that entry's passability.
+    pub fn is_settled(&self, has_outstanding_uses: impl Fn(usize) -> bool) -> bool {
+        let entry = &self.entries[self.rel_p];
+        let passable = entry.valid && entry.ready && !has_outstanding_uses(self.rel_p);
+        if self.rel_p == self.current_mapping() {
+            self.idle == passable
+        } else {
+            entry.valid && !passable && !self.idle
+        }
+    }
+
     /// The bank's contribution to the global LCS minimum: the StateId at the
     /// Release Pointer, or `None` when the bank is idle (RenP == RelP and the
     /// entry is fully produced and consumed — Section 3.2.2's special
@@ -577,6 +591,30 @@ mod tests {
         sct.advance_release_pointer(|slot| slot == a);
         assert_eq!(sct.release_pointer(), a);
         assert_eq!(sct.lcs_contribution(), Some(StateId::new(1)));
+    }
+
+    #[test]
+    fn settled_until_the_entry_under_the_pointer_changes() {
+        let mut sct = Sct::new(0, 8);
+        let a = sct.allocate(StateId::new(1)).unwrap();
+        let b = sct.allocate(StateId::new(2)).unwrap();
+        // The allocation moved the Rename Pointer away from the idle entry.
+        assert!(!sct.is_settled(|_| false));
+        sct.advance_release_pointer(|_| false);
+        assert_eq!(sct.release_pointer(), a);
+        assert!(sct.is_settled(|_| false));
+        // An entry beyond the pointer becoming ready moves nothing.
+        sct.mark_ready(b);
+        assert!(sct.is_settled(|_| false));
+        // The entry under the pointer becoming ready lets it move.
+        sct.mark_ready(a);
+        assert!(!sct.is_settled(|_| false));
+        assert!(sct.is_settled(|slot| slot == a), "a use still holds it");
+        sct.advance_release_pointer(|_| false);
+        assert_eq!(sct.lcs_contribution(), None);
+        assert!(sct.is_settled(|_| false));
+        // A new use on the idle entry would flip its idle condition.
+        assert!(!sct.is_settled(|slot| slot == b));
     }
 
     #[test]
