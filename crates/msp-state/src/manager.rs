@@ -288,9 +288,10 @@ impl MspStateManager {
 
     /// Marks a bank's commit-clock leaves as stale. Every mutation that can
     /// move a bank's Release Pointer or flip its idle condition funnels
-    /// through this or [`MspStateManager::touch`], which is what keeps the
-    /// incremental [`MspStateManager::clock_commit`] bit-identical to a full
-    /// sweep.
+    /// through this (directly or through
+    /// [`MspStateManager::dirty_if_under_pointer`]), which is what keeps
+    /// the incremental [`MspStateManager::clock_commit`] bit-identical to a
+    /// full sweep.
     #[inline]
     fn mark_bank_dirty(&mut self, bank: usize) {
         self.dirty_banks |= 1u64 << bank;
@@ -300,7 +301,7 @@ impl MspStateManager {
     /// Release Pointer: a change to any other entry's Ready or use bits
     /// cannot move the pointer.
     #[inline]
-    fn touch(&mut self, reg: PhysReg) {
+    fn dirty_if_under_pointer(&mut self, reg: PhysReg) {
         if self.scts[reg.bank()].release_pointer() == reg.slot() {
             self.mark_bank_dirty(reg.bank());
         }
@@ -362,7 +363,7 @@ impl MspStateManager {
     /// the state of) physical register `reg`.
     pub fn note_use(&mut self, reg: PhysReg, iq_slot: usize) {
         self.reliqs[reg.bank()].set_use(reg.slot(), iq_slot);
-        self.touch(reg);
+        self.dirty_if_under_pointer(reg);
     }
 
     /// Clears a recorded use: the consumer issued or completed, or it was
@@ -373,13 +374,13 @@ impl MspStateManager {
         if crate::mutation::is_active("skip-dirty-at-release-pointer") {
             return;
         }
-        self.touch(reg);
+        self.dirty_if_under_pointer(reg);
     }
 
     /// Marks a physical register as produced (writeback).
     pub fn mark_ready(&mut self, reg: PhysReg) {
         self.scts[reg.bank()].mark_ready(reg.slot());
-        self.touch(reg);
+        self.dirty_if_under_pointer(reg);
     }
 
     /// Whether a physical register's value has been produced.

@@ -303,7 +303,7 @@ impl Sct {
     /// the idle condition as they are, in O(1): the pointer rests on a live
     /// entry it cannot pass, or on the Rename Pointer with the idle
     /// condition matching that entry's passability.
-    pub fn is_settled(&self, has_outstanding_uses: impl Fn(usize) -> bool) -> bool {
+    pub(crate) fn is_settled(&self, has_outstanding_uses: impl Fn(usize) -> bool) -> bool {
         let entry = &self.entries[self.rel_p];
         let passable = entry.valid && entry.ready && !has_outstanding_uses(self.rel_p);
         if self.rel_p == self.current_mapping() {
