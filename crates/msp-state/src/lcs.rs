@@ -239,27 +239,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn min_tree_tracks_its_leaves() {
-        let mut single = MinTree::new(1, u64::MAX);
-        single.set(0, 4);
-        assert_eq!((single.min(), single.leaves_below(5)), (4, 1));
-        for leaves in [2, 3, 5, 64] {
-            let mut tree = MinTree::new(leaves, u64::MAX);
-            assert_eq!(tree.min(), u64::MAX);
-            assert_eq!(tree.leaves_below(u64::MAX), 0);
-            tree.set(leaves - 1, 7);
-            tree.set(0, 9);
-            assert_eq!(tree.min(), 7);
-            assert_eq!(tree.leaf(leaves - 1), 7);
-            // Raising the minimum leaf re-derives the root.
-            tree.set(leaves - 1, 12);
-            assert_eq!(tree.min(), 9);
-            assert_eq!(tree.leaves_below(10), 1);
-            assert!(tree.is_coherent());
-        }
-    }
-
     proptest! {
         /// After any sequence of leaf writes the root is the minimum of the
         /// leaves and the descent finds exactly the leaves below the bound,
@@ -286,9 +265,7 @@ mod tests {
             prop_assert_eq!(tree.leaves_below(bound), below);
             prop_assert!(tree.is_coherent());
         }
-    }
 
-    proptest! {
         /// With delay d, the visible value after k > d clocks equals the
         /// value computed d cycles earlier, for arbitrary input sequences.
         /// A round may have every bank idle, in which case its computed

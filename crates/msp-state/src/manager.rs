@@ -522,9 +522,10 @@ impl MspStateManager {
     /// are (modulo hash collisions) indistinguishable by any future sequence
     /// of operations — the property the model checker's visited-state
     /// deduplication relies on. The cache exclusion is sound because
-    /// [`MspStateManager::verify_occupancy`] checks that every clean bank is
-    /// settled and that its leaves match a fresh derivation, so which banks
-    /// are dirty cannot change what a commit clock computes.
+    /// [`MspStateManager::verify_occupancy`] checks that the comparator
+    /// trees are coherent and that every clean bank is settled with leaves
+    /// that match a fresh derivation, so neither the trees nor which banks
+    /// are dirty can change what a commit clock computes.
     pub fn hash_canonical<H: std::hash::Hasher>(&self, hasher: &mut H) {
         use std::hash::Hash;
         for sct in &self.scts {
@@ -1068,9 +1069,7 @@ mod tests {
                         proptest::prop_assert_eq!(fast, slow);
                     }
                 }
-                if let Err(violation) = msp.verify_occupancy() {
-                    proptest::prop_assert!(false, "{violation}");
-                }
+                proptest::prop_assert_eq!(msp.verify_occupancy(), Ok(()));
             }
         }
     }
